@@ -9,7 +9,7 @@
 use crate::dispatch::AnyMechanism;
 use crate::mechanism::{Boomerang, ThrottlePolicy};
 use branch_pred::PredictorKind;
-use frontend::{ControlFlowMechanism, LaneSimulator, SimEngine, SimStats, Simulator};
+use frontend::{ControlFlowMechanism, SimEngine, SimStats, Simulator};
 use prefetchers::MechanismKind;
 use serde::{Deserialize, Serialize};
 use sim_core::MicroarchConfig;
@@ -260,67 +260,6 @@ impl WorkloadData {
         );
         sim.use_backend_latency_classes(&self.latency_classes);
         sim.run_with_warmup_engine(self.length.warmup_blocks, engine)
-    }
-
-    /// Runs a whole campaign group — N (mechanism, config) rows over this
-    /// one workload — lane-batched: one [`LaneSimulator`] packs a complete
-    /// per-row simulator per lane and round-robins the lanes over the shared
-    /// decoded trace, line predecode and latency-class stream, so the
-    /// memory-bound trace footprint is replayed once per chunk for the group
-    /// instead of once per row. Returns per-row statistics in `rows` order,
-    /// bit-identical to calling
-    /// [`run_with_predictor_engine`](Self::run_with_predictor_engine) per
-    /// row (enforced by `tests/lane_differential.rs`).
-    ///
-    /// `max_lanes` caps how many rows share one lane slab (`0` = the whole
-    /// group in one slab); larger groups run as consecutive slabs. The
-    /// per-cycle reference engine has no resumable split and always runs
-    /// per-row, as does a `max_lanes` of 1.
-    pub fn run_group_with_predictor_engine(
-        &self,
-        rows: &[(Mechanism, &MicroarchConfig)],
-        predictor: PredictorKind,
-        engine: SimEngine,
-        max_lanes: usize,
-    ) -> Vec<SimStats> {
-        let lane_batched = engine == SimEngine::EventHorizon && max_lanes != 1 && rows.len() > 1;
-        if !lane_batched {
-            return rows
-                .iter()
-                .map(|&(mechanism, config)| {
-                    self.run_with_predictor_engine(mechanism, config, predictor, engine)
-                })
-                .collect();
-        }
-        let lane_cap = if max_lanes == 0 {
-            rows.len()
-        } else {
-            max_lanes
-        };
-        let mut out = Vec::with_capacity(rows.len());
-        for batch in rows.chunks(lane_cap) {
-            if batch.len() == 1 {
-                let (mechanism, config) = batch[0];
-                out.push(self.run_with_predictor_engine(mechanism, config, predictor, engine));
-                continue;
-            }
-            let sims: Vec<Simulator<'_, AnyMechanism>> = batch
-                .iter()
-                .map(|&(mechanism, config)| {
-                    let mut sim = Simulator::with_predictor(
-                        config.clone(),
-                        &self.layout,
-                        self.trace.blocks(),
-                        Box::new(mechanism.build_any()),
-                        predictor,
-                    );
-                    sim.use_backend_latency_classes(&self.latency_classes);
-                    sim
-                })
-                .collect();
-            out.extend(LaneSimulator::new(sims).run(self.length.warmup_blocks));
-        }
-        out
     }
 }
 

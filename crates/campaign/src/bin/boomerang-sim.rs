@@ -70,15 +70,6 @@ OPTIONS:
                            resume hint (deterministic interruption)
     --shard <I/N>          Execute only jobs with index ≡ I (mod N) and write
                            a per-shard journal; no reports (worker mode)
-    --lanes <N>            Lane cap for lane-batched group simulation: 0 runs
-                           each whole (workload, seed) group as one lane slab
-                           (default), 1 disables lane batching (per-row), N>1
-                           splits groups into slabs of at most N lanes.
-                           Purely a schedule — reports are byte-identical for
-                           every setting. Interplay with --jobs: the pool
-                           shards whole groups across workers, lanes fill
-                           within a group; resume holes and --shard splits
-                           fall back to per-row execution
     --fault-inject <PLAN>  Arm deterministic fault points (testing; see the
                            README's failure model for the plan syntax)
     --quiet                Suppress the progress banner and result table
@@ -180,8 +171,6 @@ BENCH OPTIONS (see README \"Performance\"):
     --full            Benchmark only full-length entries
     --iterations <K>  Timed iterations per engine (default: 3)
     --no-reference    Skip timing the per-cycle reference engine
-    --lanes <N>       Lane cap for the campaign runs and the per-group lane
-                      A/B (default: 0 = whole groups)
     --out <FILE>      Bench report path (default: bench-out/bench.json; pass
                       BENCH_PR<n>.json explicitly to (re)write a committed
                       trajectory baseline)
@@ -207,9 +196,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         Some("list-presets") => {
-            // `groups` is what lane-batching amortises: each (workload, seed)
-            // group shares one generated trace, and its `rows/grp` rows run
-            // as lanes of one slab.
+            // A group is one (workload, seed) point: generated once and
+            // shared by its `rows/grp` rows, each of which simulates alone.
             println!(
                 "{:<20} {:>5} {:>10} {:>7} {:>9}  description",
                 "preset", "jobs", "workloads", "groups", "rows/grp"
@@ -296,12 +284,6 @@ fn bench_command(args: &[String]) -> Result<ExitCode, String> {
                     .map_err(|_| format!("bad --iterations value `{n}`"))?;
             }
             "--no-reference" => options.time_reference = false,
-            "--lanes" => {
-                let n = it.next().ok_or("--lanes needs a count")?;
-                options.lanes = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --lanes value `{n}`"))?;
-            }
             "--out" => {
                 let path = it.next().ok_or("--out needs a file path")?;
                 out = PathBuf::from(path);
@@ -717,7 +699,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
     let mut max_rows: Option<usize> = None;
     let mut artifact_cache: Option<PathBuf> = None;
     let mut fault_plan: Option<String> = None;
-    let mut lanes: usize = 0;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -756,12 +737,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
             "--artifact-cache" => {
                 let dir = it.next().ok_or("--artifact-cache needs a directory")?;
                 artifact_cache = Some(PathBuf::from(dir));
-            }
-            "--lanes" => {
-                let n = it.next().ok_or("--lanes needs a count")?;
-                lanes = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --lanes value `{n}`"))?;
             }
             "--fault-inject" => {
                 let plan = it.next().ok_or("--fault-inject needs a plan")?;
@@ -902,22 +877,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
                 None => String::new(),
             },
         );
-        // Group structure: what lane-batching amortises. Every (workload,
-        // seed) group shares one generated trace; its rows run as lanes.
-        let groups = spec.workloads.len() * spec.seeds.len();
-        eprintln!(
-            "lane groups: {groups} x {} rows{}",
-            jobs_list.len() / groups.max(1),
-            if plan.shard.is_some() {
-                " (sharded: per-row fallback)".to_string()
-            } else {
-                match lanes {
-                    0 => " (lane-batched, whole groups)".to_string(),
-                    1 => " (lane batching disabled)".to_string(),
-                    n => format!(" (lane-batched, slabs of {n})"),
-                }
-            },
-        );
         if let Some(labels) = custom_axis_labels(&spec) {
             eprintln!("workload axis: {labels}");
         }
@@ -934,7 +893,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         jobs,
         smoke,
         artifact_cache,
-        lanes,
         ..EngineOptions::default()
     };
 

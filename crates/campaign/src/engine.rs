@@ -39,16 +39,6 @@ pub struct EngineOptions {
     /// [`crate::artifact`]). `None` generates everything in-process, every
     /// time.
     pub artifact_cache: Option<std::path::PathBuf>,
-    /// Lane cap for lane-batched group execution
-    /// ([`WorkloadData::run_group_with_predictor_engine`]): `0` (the
-    /// default) runs each whole (workload, seed) group as one lane slab, `1`
-    /// disables lane batching (every row simulates alone), `n > 1` splits
-    /// groups into consecutive slabs of at most `n` lanes. Purely a
-    /// schedule: reports are byte-identical for every setting. Lane batching
-    /// only applies to full groups on the event-horizon engine — resume
-    /// holes, `--shard` splits, row limits and the per-cycle reference
-    /// engine all fall back to per-row execution.
-    pub lanes: usize,
 }
 
 /// Derives the effective workload-profile seed for a seed offset.
@@ -167,8 +157,8 @@ impl GeneratedWorkloads {
     }
 
     /// The generated data of one distinct (workload axis point, seed) pair,
-    /// if the campaign uses it. The bench harness uses this to time one
-    /// group's lane-batched A/B in isolation.
+    /// if the campaign uses it, so a benchmark can time one row's
+    /// simulation in isolation.
     pub fn data_for(&self, workload: usize, seed: u64) -> Option<&WorkloadData> {
         self.keys
             .iter()
@@ -390,117 +380,32 @@ pub fn run_generated_partial(
     }
 
     let configs: Vec<_> = spec.configs.iter().map(|c| c.build()).collect();
-    let units = plan_units(jobs, &pending, options, plan);
-    let results: Vec<Vec<(usize, SimStats)>> =
-        pool::run_indexed(workers, &units, |_, unit| match unit {
-            ExecUnit::Row(i) => {
-                let job = &jobs[*i];
-                let data = data_by_key[&(job.workload, job.seed)];
-                let stats = data.run_with_predictor_engine(
-                    job.mechanism,
-                    &configs[job.config],
-                    spec.predictor,
-                    options.engine,
-                );
-                if let Some(on_row) = on_row {
-                    on_row(job, &stats);
-                }
-                vec![(*i, stats)]
-            }
-            ExecUnit::Group(members) => {
-                let first = &jobs[members[0]];
-                let data = data_by_key[&(first.workload, first.seed)];
-                let rows: Vec<(Mechanism, &sim_core::MicroarchConfig)> = members
-                    .iter()
-                    .map(|&j| (jobs[j].mechanism, &configs[jobs[j].config]))
-                    .collect();
-                let stats = data.run_group_with_predictor_engine(
-                    &rows,
-                    spec.predictor,
-                    options.engine,
-                    options.lanes,
-                );
-                let out: Vec<(usize, SimStats)> = members.iter().copied().zip(stats).collect();
-                if let Some(on_row) = on_row {
-                    // Journal/checkpoint rows are still emitted per lane, in
-                    // canonical order within the group.
-                    for (j, s) in &out {
-                        on_row(&jobs[*j], s);
-                    }
-                }
-                out
-            }
-        });
+    let executed: Vec<SimStats> = pool::run_indexed(workers, &pending, |_, &i| {
+        let job = &jobs[i];
+        let data = data_by_key[&(job.workload, job.seed)];
+        let stats = data.run_with_predictor_engine(
+            job.mechanism,
+            &configs[job.config],
+            spec.predictor,
+            options.engine,
+        );
+        if let Some(on_row) = on_row {
+            on_row(job, &stats);
+        }
+        stats
+    });
 
     let mut stats: Vec<Option<SimStats>> = vec![None; jobs.len()];
     for (&i, s) in done {
         stats[i] = Some(*s);
     }
-    for (i, s) in results.into_iter().flatten() {
-        stats[i] = Some(s);
+    for (&i, s) in pending.iter().zip(&executed) {
+        stats[i] = Some(*s);
     }
     RunOutcome {
         stats,
         executed: pending.len(),
     }
-}
-
-/// One pool task of an execution pass: a lone job, or a whole lane-batched
-/// (workload, seed) group.
-enum ExecUnit {
-    Row(usize),
-    Group(Vec<usize>),
-}
-
-/// Partitions the pending job indices into pool execution units.
-///
-/// A (workload, seed) group becomes one lane-batched [`ExecUnit::Group`]
-/// only when *every* job of the group is pending in this pass — a group with
-/// resume holes (some rows already journaled), a `--shard` split (the
-/// canonical round-robin scatters each group across shards) or a row-limit
-/// cut runs per-row, exactly as before lane batching existed. The pool thus
-/// shards whole groups across workers while lanes fill within a group.
-/// Units are emitted in canonical order of their first job index, and a
-/// group's members are in canonical order, so journal emission order within
-/// a unit is deterministic.
-fn plan_units(
-    jobs: &[Job],
-    pending: &[usize],
-    options: &EngineOptions,
-    plan: RunPlan,
-) -> Vec<ExecUnit> {
-    let lane_batching = options.lanes != 1
-        && options.engine == frontend::SimEngine::EventHorizon
-        && plan.shard.is_none();
-    if !lane_batching {
-        return pending.iter().map(|&i| ExecUnit::Row(i)).collect();
-    }
-    let mut members: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
-    for (i, job) in jobs.iter().enumerate() {
-        members.entry((job.workload, job.seed)).or_default().push(i);
-    }
-    let mut is_pending = vec![false; jobs.len()];
-    for &i in pending {
-        is_pending[i] = true;
-    }
-    let mut claimed = vec![false; jobs.len()];
-    let mut units = Vec::new();
-    for &i in pending {
-        if claimed[i] {
-            continue;
-        }
-        let group = &members[&(jobs[i].workload, jobs[i].seed)];
-        if group.len() > 1 && group.iter().all(|&j| is_pending[j]) {
-            for &j in group {
-                claimed[j] = true;
-            }
-            units.push(ExecUnit::Group(group.clone()));
-        } else {
-            claimed[i] = true;
-            units.push(ExecUnit::Row(i));
-        }
-    }
-    units
 }
 
 /// The campaign's aggregation phase: joins each job's statistics with its

@@ -15,7 +15,7 @@ use frontend::SimEngine;
 
 const GOLDEN: &str = include_str!("golden/figure9-smoke.json");
 
-fn smoke_report_lanes(jobs: usize, engine: SimEngine, lanes: usize) -> String {
+fn smoke_report(jobs: usize, engine: SimEngine) -> String {
     let spec = presets::find("figure9").expect("figure9 preset exists");
     let report = run_campaign(
         &spec,
@@ -23,17 +23,11 @@ fn smoke_report_lanes(jobs: usize, engine: SimEngine, lanes: usize) -> String {
             jobs,
             smoke: true,
             engine,
-            lanes,
             ..EngineOptions::default()
         },
     )
     .expect("smoke campaign runs");
     to_json(&report)
-}
-
-fn smoke_report(jobs: usize, engine: SimEngine) -> String {
-    // lanes: 0 — the default lane-batched schedule (whole groups as slabs).
-    smoke_report_lanes(jobs, engine, 0)
 }
 
 #[test]
@@ -57,19 +51,9 @@ fn reference_engine_renders_the_same_bytes() {
 }
 
 #[test]
-fn report_bytes_do_not_depend_on_lane_schedule() {
-    // Lane batching is a schedule, not an engine: per-row (lanes = 1), a
-    // lane cap that splits each 7-row figure9 group into slabs (lanes = 2)
-    // and whole-group slabs (lanes = 0, the default, covered above) must all
-    // render the committed golden bytes.
-    assert_eq!(smoke_report_lanes(2, SimEngine::EventHorizon, 1), GOLDEN);
-    assert_eq!(smoke_report_lanes(2, SimEngine::EventHorizon, 2), GOLDEN);
-}
-
-#[test]
-fn lane_batched_golden_digest_is_pinned() {
-    // The ISSUE-8 acceptance digest of the figure9-smoke report, produced
-    // through the lane path.
+fn golden_digest_is_pinned() {
+    // The FNV-1a digest of the figure9-smoke report, as pinned by the
+    // committed bench baselines.
     let json = smoke_report(2, SimEngine::EventHorizon);
     assert_eq!(
         format!("fnv1a64:{:016x}", fnv1a64(json.as_bytes())),

@@ -11,8 +11,8 @@
 use boomerang::RunLength;
 use campaign::checkpoint::{spec_hash, Journal, JournalReplay};
 use campaign::{
-    assemble_report, expand, fnv1a64, presets, run_campaign, run_generated_partial, to_csv,
-    to_json, CampaignSpec, EngineOptions, RunPlan,
+    assemble_report, expand, fnv1a64, generate_workloads, presets, run_campaign,
+    run_generated_partial, to_csv, to_json, CampaignSpec, EngineOptions, RunPlan,
 };
 use frontend::SimStats;
 use std::collections::HashMap;
@@ -135,6 +135,98 @@ fn figure9_smoke_golden_bytes_survive_kill_and_resume() {
         "fnv1a64:12d5c5644373b35b"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn row_limited_pass_resumes_to_oneshot_bytes() {
+    let spec = presets::find("figure9").unwrap();
+    let opts = EngineOptions {
+        jobs: 2,
+        smoke: true,
+        ..EngineOptions::default()
+    };
+    let generated = generate_workloads(&spec, &opts).unwrap();
+    let pass = |done: &HashMap<usize, SimStats>, limit: Option<usize>| {
+        run_generated_partial(
+            &spec,
+            &opts,
+            &generated,
+            done,
+            RunPlan {
+                limit,
+                ..RunPlan::default()
+            },
+            None,
+        )
+    };
+    let oneshot = pass(&HashMap::new(), None);
+    assert!(oneshot.is_complete());
+
+    // A 5-row limit stops mid-way through the first 7-row (workload, seed)
+    // group; the resumed pass fills the holes around the journaled rows.
+    let first = pass(&HashMap::new(), Some(5));
+    assert_eq!(first.executed, 5);
+    let done: HashMap<usize, SimStats> = first
+        .stats
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| s.map(|s| (i, s)))
+        .collect();
+    assert_eq!(done.len(), 5);
+    let resumed = pass(&done, None);
+    assert!(resumed.is_complete());
+
+    let report = |stats: Vec<Option<SimStats>>| {
+        let stats: Vec<SimStats> = stats.into_iter().map(Option::unwrap).collect();
+        to_json(&assemble_report(
+            &spec,
+            generated.jobs(),
+            generated.effective_run(),
+            true,
+            stats,
+        ))
+    };
+    assert_eq!(
+        report(resumed.stats),
+        report(oneshot.stats),
+        "a resumed pass over a partially journaled group must render the \
+         one-shot bytes"
+    );
+}
+
+#[test]
+fn three_way_shard_merge_equals_oneshot_stats() {
+    let spec = presets::find("figure9").unwrap();
+    let opts = EngineOptions {
+        jobs: 2,
+        smoke: true,
+        ..EngineOptions::default()
+    };
+    let generated = generate_workloads(&spec, &opts).unwrap();
+    let pass = |plan: RunPlan| {
+        run_generated_partial(&spec, &opts, &generated, &HashMap::new(), plan, None)
+    };
+    let oneshot = pass(RunPlan::default());
+
+    // The canonical round-robin scatters every group across the shards.
+    let mut merged: Vec<Option<SimStats>> = vec![None; generated.job_count()];
+    for shard in 0..3 {
+        let stats = pass(RunPlan {
+            shard: Some((shard, 3)),
+            ..RunPlan::default()
+        })
+        .stats;
+        for (slot, s) in merged.iter_mut().zip(stats) {
+            if let Some(s) = s {
+                assert!(slot.is_none(), "shards must not overlap");
+                *slot = Some(s);
+            }
+        }
+    }
+    assert_eq!(
+        merged, oneshot.stats,
+        "--shard i/3 passes must merge to the one-shot stats"
+    );
 }
 
 #[test]

@@ -126,13 +126,6 @@ pub struct Simulator<'a, M: ControlFlowMechanism + ?Sized = dyn ControlFlowMecha
     wrong_path: Option<WrongPath>,
     fetch: Option<FetchState>,
     last_fetched_line: Option<CacheLine>,
-
-    // Resumable-run bookkeeping (set by `begin_run`, used by
-    // `advance_to_block`): lets an external scheduler — the lane-batched
-    // engine — time-slice a run without changing any state transition.
-    warmup_blocks: usize,
-    warmup_done: bool,
-    max_cycles: u64,
 }
 
 impl<'a, M: ControlFlowMechanism + ?Sized> Simulator<'a, M> {
@@ -190,9 +183,6 @@ impl<'a, M: ControlFlowMechanism + ?Sized> Simulator<'a, M> {
             wrong_path: None,
             fetch: None,
             last_fetched_line: None,
-            warmup_blocks: 0,
-            warmup_done: true,
-            max_cycles: u64::MAX,
         }
     }
 
@@ -250,48 +240,20 @@ impl<'a, M: ControlFlowMechanism + ?Sized> Simulator<'a, M> {
     ///
     /// [`step`]: Self::step
     pub fn run_with_warmup(&mut self, warmup_blocks: usize) -> SimStats {
-        self.begin_run(warmup_blocks);
-        self.advance_to_block(usize::MAX);
-        self.finish_run()
-    }
-
-    /// Arms a resumable event-horizon run (see
-    /// [`run_with_warmup`](Self::run_with_warmup)): records the warmup
-    /// boundary and the cycle safety bound, then lets the caller drive the
-    /// run in slices with [`advance_to_block`](Self::advance_to_block) and
-    /// collect the result with [`finish_run`](Self::finish_run).
-    ///
-    /// This split exists for the lane-batched engine: a scheduler can
-    /// round-robin many simulators over the same shared trace, pausing each
-    /// at block-count targets. Pausing is transition-invariant — every loop
-    /// iteration of the engine is self-contained and commits at most one
-    /// block — so any slicing of a run produces bit-identical statistics to
-    /// an uninterrupted [`run_with_warmup`] call.
-    pub fn begin_run(&mut self, warmup_blocks: usize) {
-        debug_assert_eq!(self.now, 0, "begin_run on an already-started simulator");
-        self.warmup_blocks = warmup_blocks;
-        self.warmup_done = warmup_blocks == 0;
-        self.max_cycles = self.cycle_bound();
-    }
-
-    /// Advances an armed run (see [`begin_run`](Self::begin_run)) until at
-    /// least `target_blocks` blocks have committed, the trace is exhausted,
-    /// or the cycle safety bound trips. Returns `true` once the run is
-    /// complete and [`finish_run`](Self::finish_run) may be called.
-    pub fn advance_to_block(&mut self, target_blocks: usize) -> bool {
         let total = self.trace.len();
-        let stop = target_blocks.min(total);
-        while self.committed_blocks < stop && self.now < self.max_cycles {
+        let mut warmup_done = warmup_blocks == 0;
+        let max_cycles = self.cycle_bound();
+        while self.committed_blocks < total && self.now < max_cycles {
             if let Some(horizon) = self.idle_horizon() {
                 // Dead cycles never commit a block, so a bulk advance can
                 // never cross the warmup boundary.
-                self.advance_idle(horizon.min(self.max_cycles));
+                self.advance_idle(horizon.min(max_cycles));
             } else if let Some(stall_end) = self.fill_stall_window() {
                 // BPU-only cycles of an L1-I/LLC fill stall: batched, with
                 // the per-cycle stall accounting done in closed form. Like
                 // bulk-advanced windows, these cycles never commit a block,
                 // so the batch can never cross the warmup boundary.
-                self.trickle_fill_stall(stall_end.min(self.max_cycles));
+                self.trickle_fill_stall(stall_end.min(max_cycles));
             } else if let Some((instructions, until)) = self.streaming_window() {
                 // Straight-line streaming out of an already-accessed L1-hit
                 // line with every other unit silent: the whole drain window
@@ -299,46 +261,21 @@ impl<'a, M: ControlFlowMechanism + ?Sized> Simulator<'a, M> {
                 // call, and the line transition or block commit that ends
                 // it runs at its exact cycle. Can commit (one block, in its
                 // final cycle), so the warmup boundary is re-checked.
-                let until = until.min(self.max_cycles);
-                self.stream_fast_forward(instructions, until);
-                self.check_warmup_boundary();
+                self.stream_fast_forward(instructions, until.min(max_cycles));
+                if !warmup_done && self.committed_blocks >= warmup_blocks {
+                    self.reset_stats();
+                    warmup_done = true;
+                }
             } else {
                 self.step();
-                self.check_warmup_boundary();
+                if !warmup_done && self.committed_blocks >= warmup_blocks {
+                    self.reset_stats();
+                    warmup_done = true;
+                }
             }
         }
-        self.committed_blocks >= total || self.now >= self.max_cycles
-    }
-
-    /// Finalises an armed run and returns the collected statistics.
-    pub fn finish_run(&mut self) -> SimStats {
         self.finalize_stats();
         self.stats
-    }
-
-    /// Number of trace blocks committed so far.
-    pub fn committed_blocks(&self) -> usize {
-        self.committed_blocks
-    }
-
-    /// Total number of blocks in the decoded trace.
-    pub fn trace_blocks(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// The shared immutable decoded trace this simulator reads. Used by the
-    /// lane-batched engine to assert that every lane of a group consumes the
-    /// *same* trace stream (the shared-trace-cursor invariant).
-    pub(crate) fn trace_stream(&self) -> &'a [DynamicBlock] {
-        self.trace
-    }
-
-    #[inline]
-    fn check_warmup_boundary(&mut self) {
-        if !self.warmup_done && self.committed_blocks >= self.warmup_blocks {
-            self.reset_stats();
-            self.warmup_done = true;
-        }
     }
 
     /// If the current (non-idle) cycle sits inside an L1-I fill-stall window

@@ -17,9 +17,6 @@
 //!   workload trace and every experiment is exactly reproducible.
 //! * [`pool`] — a small work-stealing thread pool on which the experiment
 //!   harness and the campaign engine shard their sweeps.
-//! * [`lane`] — flat preallocated per-lane state slabs ([`LaneSlab`]) used by
-//!   the lane-batched multi-row engine to pack one row's timing state per
-//!   lane while all lanes share one immutable decoded trace stream.
 //!
 //! # Example
 //!
@@ -42,7 +39,6 @@ pub mod block;
 pub mod branch;
 pub mod config;
 pub mod fxhash;
-pub mod lane;
 pub mod order_queue;
 pub mod pool;
 pub mod rng;
@@ -53,6 +49,5 @@ pub use block::{BasicBlock, DynamicBlock, MAX_BASIC_BLOCK_INSTRUCTIONS};
 pub use branch::{BranchInfo, BranchKind, BranchOutcome};
 pub use config::{Latency, MicroarchConfig, NocModel, PerfectComponents};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use lane::LaneSlab;
 pub use order_queue::OrderQueue;
 pub use stats::{Counter, Ratio};
