@@ -68,8 +68,6 @@ OPTIONS:
                            and start over
     --max-rows <N>         Checkpoint at most N new rows, then exit with a
                            resume hint (deterministic interruption)
-    --shard <I/N>          Execute only jobs with index ≡ I (mod N) and write
-                           a per-shard journal; no reports (worker mode)
     --fault-inject <PLAN>  Arm deterministic fault points (testing; see the
                            README's failure model for the plan syntax)
     --quiet                Suppress the progress banner and result table
@@ -81,32 +79,36 @@ SERVE OPTIONS:
                            *.failed
     --out <DIR>            Root of per-submission output dirs (default:
                            serve-out)
-    --workers <N>          Worker processes per submission (default: 2)
-    --jobs <N>             Worker threads per process (default: all cores)
+    --workers <N>          Local worker processes per submission, each
+                           running one leased row at a time (default: all
+                           cores)
     --smoke                Run every submission at smoke length
     --artifact-cache <DIR> Shared workload artifact cache for all workers
     --once                 Process the submissions present now, then exit
     --poll-ms <MS>         Spool poll interval (default: 500)
-    --max-retries <N>      Restarts per crashed/hung worker shard
+    --max-retries <N>      Restarts per crashed/hung local worker
                            (default: 2)
     --worker-timeout-secs <S>
-                           Kill a worker with no journal progress for S
-                           seconds; counts as a retry (default: 300)
+                           Kill the local workers when no row has been
+                           journaled by the fleet for S seconds; counts as
+                           a retry (default: 300)
     --backoff-ms <MS>      Base restart backoff, doubling per retry
                            (default: 250)
-    --allow-partial        When a shard exhausts its retries, write a
-                           degraded report (missing rows marked) instead of
-                           failing; exit code 4 marks a partial run
+    --allow-partial        When the workers exhaust their retries before the
+                           queue drains, write a degraded report (missing
+                           rows marked) instead of failing; exit code 4
+                           marks a partial run
     --settle-ms <MS>       Skip submissions modified within the last MS
                            (still being written; default: 0 = off)
     --max-scans <N>        Stop after N spool scans (testing; default:
                            0 = unlimited)
     --fault-inject <PLAN>  Arm deterministic fault points in the service and
                            its workers (testing)
-    --listen <ADDR>        Run the TCP work queue on ADDR (e.g. 127.0.0.1:0)
-                           and lease jobs to `worker --connect` clients;
-                           --workers N spawns N local clients over loopback
-                           (0 = remote workers only)
+    --listen <ADDR>        Bind the TCP work queue to ADDR (e.g. 127.0.0.1:0)
+                           so remote `worker --connect` clients can lease
+                           jobs too (default: a private loopback port only
+                           the local workers use); --workers 0 leaves all
+                           work to remote workers
     --listen-addr-file <FILE>
                            Write the bound listen address to FILE once
                            listening (for `--listen 127.0.0.1:0`)
@@ -123,7 +125,7 @@ SERVE OPTIONS:
                            completed rows to a *different* worker session and
                            compare the stats; a mismatch quarantines the
                            producing session and requeues its unverified rows
-                           (default: 0 = off; needs --listen)
+                           (default: 0 = off)
     --max-quarantined <N>  Fail a submission (exit code 5) once more than N
                            worker sessions have been quarantined for corrupt
                            results (default: unbounded)
@@ -355,16 +357,10 @@ fn serve_command(args: &[String]) -> Result<ExitCode, String> {
             "--workers" => {
                 let n = it.next().ok_or("--workers needs a count")?;
                 // 0 is legal only with --listen (remote workers do all the
-                // work); validated once the flags are all in.
+                // work); `serve` refuses it otherwise.
                 options.workers = n
                     .parse::<usize>()
                     .map_err(|_| format!("bad --workers value `{n}`"))?;
-            }
-            "--jobs" => {
-                let n = it.next().ok_or("--jobs needs a count")?;
-                options.jobs = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --jobs value `{n}`"))?;
             }
             "--smoke" => options.smoke = true,
             "--artifact-cache" => {
@@ -469,15 +465,6 @@ fn serve_command(args: &[String]) -> Result<ExitCode, String> {
     if options.spool.as_os_str().is_empty() {
         return Err("serve needs --spool <DIR>".into());
     }
-    if options.workers == 0 && options.listen.is_none() {
-        return Err("--workers 0 needs --listen (no local fleet and no work queue)".into());
-    }
-    if options.verify_fraction > 0.0 && options.listen.is_none() {
-        return Err(
-            "--verify-fraction needs --listen (verification re-leases rows over the work queue)"
-                .into(),
-        );
-    }
     if let Some(plan) = &fault_plan {
         fault::install(Some(plan))?;
         // The workers inherit the plan through the environment — in its
@@ -491,21 +478,11 @@ fn serve_command(args: &[String]) -> Result<ExitCode, String> {
     }
     install_interrupt_handler();
     if !quiet {
-        let local_workers = if options.listen.is_some() {
-            options.workers
-        } else {
-            options.workers.max(1)
-        };
         eprintln!(
-            "serving spool {} into {} ({} worker processes{}{})",
+            "serving spool {} into {} ({} local worker processes{})",
             options.spool.display(),
             options.out.display(),
-            local_workers,
-            if options.listen.is_some() {
-                ", work queue"
-            } else {
-                ""
-            },
+            options.workers,
             if options.once { ", once" } else { "" },
         );
     }
@@ -695,7 +672,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
     let mut quiet = false;
     let mut resume = command_resume;
     let mut force = false;
-    let mut shard: Option<(usize, usize)> = None;
     let mut max_rows: Option<usize> = None;
     let mut artifact_cache: Option<PathBuf> = None;
     let mut fault_plan: Option<String> = None;
@@ -729,10 +705,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
                     n.parse::<usize>()
                         .map_err(|_| format!("bad --max-rows value `{n}`"))?,
                 );
-            }
-            "--shard" => {
-                let v = it.next().ok_or("--shard needs I/N")?;
-                shard = Some(parse_shard(v)?);
             }
             "--artifact-cache" => {
                 let dir = it.next().ok_or("--artifact-cache needs a directory")?;
@@ -775,10 +747,10 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
     };
 
     // Arm the fault plan (explicit flag or inherited environment) before any
-    // fault point can run, and register which shard this process executes so
-    // `shard=` filters can address it.
+    // fault point can run, and register worker index 0 so `shard=0` filters
+    // can address this process.
     fault::install(fault_plan.as_deref())?;
-    fault::set_worker_shard(shard.map(|(index, _)| index).unwrap_or(0));
+    fault::set_worker_shard(0);
 
     let run = if smoke {
         RunLength::smoke_test()
@@ -832,7 +804,8 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         resume = false;
     }
 
-    // Replay whatever is already checkpointed (all shards' journals).
+    // Replay whatever is already checkpointed (every journal file, including
+    // the per-shard ones of older `serve` directories).
     let done: HashMap<usize, SimStats> = if resume {
         let replay = JournalReplay::load(&out_dir, &spec.name, &hash, &jobs_list)
             .map_err(|e| e.to_string())?;
@@ -841,16 +814,9 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         HashMap::new()
     };
 
-    let plan = RunPlan {
-        shard: shard.filter(|&(_, count)| count > 1),
-        limit: max_rows,
-    };
+    let plan = RunPlan { limit: max_rows };
     let mut pending: Vec<usize> = (0..jobs_list.len())
         .filter(|i| !done.contains_key(i))
-        .filter(|i| match plan.shard {
-            Some((index, count)) => i % count == index,
-            None => true,
-        })
         .collect();
     if let Some(limit) = plan.limit {
         pending.truncate(limit);
@@ -863,7 +829,7 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
             jobs
         };
         eprintln!(
-            "campaign `{}`: {} jobs ({} configs x {} workloads x {} seeds, {} mechanisms + baselines) on {} workers{}{}",
+            "campaign `{}`: {} jobs ({} configs x {} workloads x {} seeds, {} mechanisms + baselines) on {} workers{}",
             spec.name,
             jobs_list.len(),
             spec.configs.len(),
@@ -872,10 +838,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
             spec.mechanisms.len(),
             workers,
             if smoke { " [smoke]" } else { "" },
-            match plan.shard {
-                Some((index, count)) => format!(" [shard {index}/{count}]"),
-                None => String::new(),
-            },
         );
         if let Some(labels) = custom_axis_labels(&spec) {
             eprintln!("workload axis: {labels}");
@@ -896,30 +858,23 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         ..EngineOptions::default()
     };
 
-    // The journal for this process: per-shard in worker mode. Reports and
-    // row streams are only written by unsharded runs (the serve collector
-    // merges worker journals itself).
-    let journal = if resume && Journal::path_for(&out_dir, &spec.name, shard).exists() {
-        Journal::append(&out_dir, &spec.name, shard)
+    let journal = if resume && Journal::path_for(&out_dir, &spec.name).exists() {
+        Journal::append(&out_dir, &spec.name)
     } else {
-        Journal::create(&out_dir, &spec.name, &hash, jobs_list.len(), shard)
+        Journal::create(&out_dir, &spec.name, &hash, jobs_list.len(), None)
     }
     .map_err(|e| format!("cannot open the checkpoint journal: {e}"))?;
-    let stream = if plan.shard.is_none() {
-        let sink = StreamingSink::create(&spec, &out_dir)
-            .map_err(|e| format!("cannot open the row streams: {e}"))?;
-        // Replayed rows stream first, in canonical order (baselines lead
-        // their groups, so nothing is left buffered).
-        let mut replayed: Vec<usize> = done.keys().copied().collect();
-        replayed.sort_unstable();
-        for i in replayed {
-            sink.record(&jobs_list[i], &done[&i])
-                .map_err(|e| format!("cannot stream a replayed row: {e}"))?;
-        }
-        Some(sink)
-    } else {
-        None
-    };
+    let stream = StreamingSink::create(&spec, &out_dir)
+        .map_err(|e| format!("cannot open the row streams: {e}"))?;
+    // Replayed rows stream first, in canonical order (baselines lead their
+    // groups, so nothing is left buffered).
+    let mut replayed: Vec<usize> = done.keys().copied().collect();
+    replayed.sort_unstable();
+    for i in replayed {
+        stream
+            .record(&jobs_list[i], &done[&i])
+            .map_err(|e| format!("cannot stream a replayed row: {e}"))?;
+    }
 
     // Simulate the missing rows, checkpointing and streaming each as it
     // completes.
@@ -955,10 +910,8 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
                     *slot = Some(format!("checkpoint write failed: {e}"));
                 }
             }
-            if let Some(stream) = &stream {
-                if let Err(e) = stream.record(job, stats) {
-                    eprintln!("warning: row stream write failed: {e}");
-                }
+            if let Err(e) = stream.record(job, stats) {
+                eprintln!("warning: row stream write failed: {e}");
             }
         };
         let outcome = run_generated_partial(
@@ -985,14 +938,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
     // uninterrupted run. Otherwise say exactly how to continue.
     if stats_by_index.len() == jobs_list.len() {
         let stats: Vec<SimStats> = (0..jobs_list.len()).map(|i| stats_by_index[&i]).collect();
-        if plan.shard.is_some() {
-            // A worker that happens to finish the whole campaign still only
-            // owns its journal; the collector writes the reports.
-            if !quiet {
-                eprintln!("shard complete: all {} rows checkpointed", jobs_list.len());
-            }
-            return Ok(ExitCode::SUCCESS);
-        }
         let report = assemble_report(&spec, &jobs_list, run, smoke, stats);
         let paths = campaign::write_reports(&report, &out_dir)
             .map_err(|e| format!("cannot write reports to {}: {e}", out_dir.display()))?;
@@ -1005,50 +950,17 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
             );
         }
     } else {
-        let checkpointed = stats_by_index.len();
-        if !quiet || plan.shard.is_none() {
-            eprintln!(
-                "checkpointed {checkpointed} of {} rows in {}{}",
-                jobs_list.len(),
-                out_dir.display(),
-                match plan.shard {
-                    Some((index, count)) => format!(" [shard {index}/{count}]"),
-                    None => format!(
-                        "; continue with `boomerang-sim resume {} --out {}`",
-                        spec_path
-                            .as_deref()
-                            .map(|p| p.display().to_string())
-                            .unwrap_or_else(|| format!(
-                                "--preset {}",
-                                preset.as_deref().unwrap_or(&spec.name)
-                            )),
-                        out_dir.display()
-                    ),
-                },
-            );
-        }
+        eprintln!(
+            "checkpointed {} of {} rows in {}; continue with `boomerang-sim resume {} --out {}`",
+            stats_by_index.len(),
+            jobs_list.len(),
+            out_dir.display(),
+            spec_path
+                .as_deref()
+                .map(|p| p.display().to_string())
+                .unwrap_or_else(|| format!("--preset {}", preset.as_deref().unwrap_or(&spec.name))),
+            out_dir.display()
+        );
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Parses `I/N` shard syntax; `0/1` (or any `i/1`) means "everything" and
-/// behaves like no shard at all.
-fn parse_shard(value: &str) -> Result<(usize, usize), String> {
-    let (index, count) = value
-        .split_once('/')
-        .ok_or_else(|| format!("bad --shard value `{value}` (expected I/N)"))?;
-    let index = index
-        .parse::<usize>()
-        .map_err(|_| format!("bad --shard index `{index}`"))?;
-    let count = count
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| format!("bad --shard count `{count}`"))?;
-    if index >= count {
-        return Err(format!(
-            "--shard index {index} out of range for {count} shards"
-        ));
-    }
-    Ok((index, count))
 }

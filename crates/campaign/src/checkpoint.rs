@@ -8,10 +8,12 @@
 //!
 //! # File format
 //!
-//! One campaign directory holds `<name>.journal.jsonl` (or, for sharded
-//! workers, `<name>.journal-<i>.jsonl` per shard). The first line is a header
-//! object pinning the format version, the campaign name, the [`spec_hash`] of
-//! the spec + run length, and the canonical job count:
+//! One campaign directory holds `<name>.journal.jsonl`. Directories written
+//! by the per-shard `serve` workers of earlier releases hold one
+//! `<name>.journal-<i>.jsonl` per shard instead (or beside it); replay,
+//! resume and the offline audit read every one of them. The first line is
+//! a header object pinning the format version, the campaign name, the
+//! [`spec_hash`] of the spec + run length, and the canonical job count:
 //!
 //! ```text
 //! {"journal_format":2,"campaign":"figure9","spec_hash":"fnv1a64:…","jobs":45,"shard_index":0,"shard_count":1}
@@ -230,24 +232,23 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// The journal path for `campaign` in `dir`: `<name>.journal.jsonl`, or
-    /// `<name>.journal-<i>.jsonl` when this process runs shard `i` of a
-    /// multi-worker campaign.
-    pub fn path_for(dir: &Path, campaign: &str, shard: Option<(usize, usize)>) -> PathBuf {
-        match shard {
-            Some((index, count)) if count > 1 => {
-                dir.join(format!("{campaign}.journal-{index}.jsonl"))
-            }
-            _ => dir.join(format!("{campaign}.journal.jsonl")),
-        }
+    /// The journal path for `campaign` in `dir`: `<name>.journal.jsonl`.
+    pub fn path_for(dir: &Path, campaign: &str) -> PathBuf {
+        dir.join(format!("{campaign}.journal.jsonl"))
     }
 
     /// Creates (truncating) the journal for a fresh run and writes the
     /// header line.
     ///
+    /// Every writer in this crate passes `shard: None`, which writes
+    /// [`Journal::path_for`]. `Some((i, n))` with `n > 1` lays down the
+    /// per-shard `<name>.journal-<i>.jsonl` file of the earlier multi-process
+    /// `serve`, with its shard fields in the header — the layout replay must
+    /// keep accepting.
+    ///
     /// The header is written to a `.tmp-<pid>` sibling and renamed into
-    /// place, so a concurrently starting sibling shard (whose spec-mismatch
-    /// check scans *every* journal in the directory) can never observe a
+    /// place, so a concurrent reader (whose spec-mismatch check scans
+    /// *every* journal in the directory) can never observe a
     /// created-but-headerless journal file.
     pub fn create(
         dir: &Path,
@@ -257,7 +258,12 @@ impl Journal {
         shard: Option<(usize, usize)>,
     ) -> io::Result<Journal> {
         std::fs::create_dir_all(dir)?;
-        let path = Journal::path_for(dir, campaign, shard);
+        let path = match shard {
+            Some((index, count)) if count > 1 => {
+                dir.join(format!("{campaign}.journal-{index}.jsonl"))
+            }
+            _ => Journal::path_for(dir, campaign),
+        };
         let tmp = path.with_extension(format!("jsonl.tmp-{}", std::process::id()));
         let (shard_index, shard_count) = shard.unwrap_or((0, 1));
         let header = Json::object()
@@ -290,12 +296,8 @@ impl Journal {
     /// onto the torn prefix, turning tolerated tail damage into fatal
     /// interior corruption. So the reopen first truncates the file back to
     /// the end of its last complete (newline-terminated) line.
-    pub fn append(
-        dir: &Path,
-        campaign: &str,
-        shard: Option<(usize, usize)>,
-    ) -> io::Result<Journal> {
-        let path = Journal::path_for(dir, campaign, shard);
+    pub fn append(dir: &Path, campaign: &str) -> io::Result<Journal> {
+        let path = Journal::path_for(dir, campaign);
         let bytes = std::fs::read(&path)?;
         let keep = match bytes.iter().rposition(|&b| b == b'\n') {
             Some(last_newline) => last_newline + 1,
@@ -1122,7 +1124,7 @@ mod tests {
 
         // Resume must drop the torn prefix, not weld the new row onto it
         // (which would be fatal interior corruption on the next replay).
-        let journal = Journal::append(&dir, &spec.name, None).unwrap();
+        let journal = Journal::append(&dir, &spec.name).unwrap();
         journal.record(&jobs[1], &stats(1)).unwrap();
         drop(journal);
         let replay = JournalReplay::load(&dir, &spec.name, &hash, &jobs).unwrap();
@@ -1169,7 +1171,7 @@ mod tests {
         let torn = journal_progress(&dir, &spec.name);
         assert!(torn > clean);
 
-        let journal = Journal::append(&dir, &spec.name, None).unwrap();
+        let journal = Journal::append(&dir, &spec.name).unwrap();
         let truncated = journal_progress(&dir, &spec.name);
         assert_eq!(truncated, clean, "append must drop exactly the torn tail");
         assert!(truncated < torn, "the probe must report the shrink");

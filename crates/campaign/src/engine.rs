@@ -1,4 +1,4 @@
-//! The sweep engine: expand, shard, execute, aggregate.
+//! The sweep engine: expand, generate, execute, aggregate.
 //!
 //! [`run_campaign`] turns a [`CampaignSpec`] into a [`CampaignReport`] in
 //! three deterministic phases:
@@ -298,16 +298,11 @@ pub fn run_generated(
 
 /// Which subset of the expanded jobs one execution pass covers.
 ///
-/// The default plan covers everything. Sharding restricts the pass to the
-/// job indices `i` with `i % count == index` over the canonical expansion —
-/// the `serve` worker protocol — and `limit` caps how many *missing* jobs
-/// the pass executes, which is how a resumable interruption is produced
-/// deterministically (in tests and in CI).
+/// The default plan covers everything. `limit` caps how many *missing*
+/// jobs the pass executes, which is how a resumable interruption is
+/// produced deterministically (in tests and in CI).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunPlan {
-    /// `(index, count)`: only execute jobs whose canonical index is
-    /// congruent to `index` modulo `count`.
-    pub shard: Option<(usize, usize)>,
     /// Execute at most this many missing jobs, in canonical order.
     pub limit: Option<usize>,
 }
@@ -345,8 +340,8 @@ pub type RowObserver<'a> = dyn Fn(&Job, &SimStats) + Sync + 'a;
 /// — is invoked from the pool workers as each job completes, in completion
 /// order; this is the hook the streaming sinks and the checkpoint journal
 /// hang off. Per-job statistics are deterministic, so the final merged
-/// report is byte-identical no matter how the work was split across passes,
-/// shards or worker counts.
+/// report is byte-identical no matter how the work was split across passes
+/// or worker counts.
 pub fn run_generated_partial(
     spec: &CampaignSpec,
     options: &EngineOptions,
@@ -368,13 +363,7 @@ pub fn run_generated_partial(
         .zip(generated.data.iter())
         .collect();
 
-    let mut pending: Vec<usize> = (0..jobs.len())
-        .filter(|i| !done.contains_key(i))
-        .filter(|i| match plan.shard {
-            Some((index, count)) => i % count.max(1) == index,
-            None => true,
-        })
-        .collect();
+    let mut pending: Vec<usize> = (0..jobs.len()).filter(|i| !done.contains_key(i)).collect();
     if let Some(limit) = plan.limit {
         pending.truncate(limit);
     }
@@ -411,7 +400,7 @@ pub fn run_generated_partial(
 /// The campaign's aggregation phase: joins each job's statistics with its
 /// group's no-prefetch baseline, in canonical job order, producing the
 /// report. A pure function of `(spec, jobs, stats)` — which is what makes
-/// checkpoint-resumed, sharded and streamed campaigns byte-identical to
+/// checkpoint-resumed, served and streamed campaigns byte-identical to
 /// one-shot runs. It deliberately does *not* need the generated workloads:
 /// a merge over fully-checkpointed journals (the `serve` collector path)
 /// can assemble the report without generating anything.
@@ -464,7 +453,7 @@ pub fn assemble_report(
 }
 
 /// One row of a degraded report: present with its baseline, present without
-/// it, or lost with its shard.
+/// it, or never checkpointed.
 #[derive(Clone, Debug)]
 pub enum PartialRow {
     /// The job and its group baseline both checkpointed — a full row.
@@ -481,7 +470,7 @@ pub enum PartialRow {
         /// The job's own statistics (absolute counters are still valid).
         stats: SimStats,
     },
-    /// The job never checkpointed (its shard exhausted its retries).
+    /// The job never checkpointed (the workers exhausted their retries).
     Missing {
         /// The job this row stands in for.
         job: Job,
@@ -506,7 +495,7 @@ impl PartialRow {
 /// A campaign report assembled from incomplete statistics — the graceful-
 /// degradation output of `--allow-partial`. Every canonical job appears
 /// exactly once, explicitly marked, so a reader can see precisely which
-/// cells are trustworthy and which died with their shard.
+/// cells are trustworthy and which were never checkpointed.
 #[derive(Clone, Debug)]
 pub struct PartialReport {
     /// The spec that produced the report.
@@ -532,10 +521,10 @@ impl PartialReport {
 }
 
 /// The graceful-degradation counterpart of [`assemble_report`]: accepts a
-/// statistics slot per job with holes (`None`) where a shard died, and
-/// classifies every row instead of panicking. Present rows join their group
-/// baseline exactly as the full path does — a partial report's `ok` rows
-/// carry the same numbers the complete report would.
+/// statistics slot per job with holes (`None`) where no row checkpointed,
+/// and classifies every row instead of panicking. Present rows join their
+/// group baseline exactly as the full path does — a partial report's `ok`
+/// rows carry the same numbers the complete report would.
 pub fn assemble_partial_report(
     spec: &CampaignSpec,
     jobs: &[Job],

@@ -41,9 +41,10 @@
 //! | `journal-bitrot`    | the `after-rows`-th journal append  | flips one byte of the row line after its checksum was computed (replay rejects the row) |
 //! | `frame-corrupt`     | the `nth` protocol frame sent       | flips one payload byte after the frame's FNV trailer was computed (`read_message` rejects the frame) |
 //!
-//! Filters: `shard=N` restricts a row fault to the worker process running
-//! that shard of the canonical expansion — for TCP workers, the
-//! `--worker-index` the process registered (default: any); `after-rows=N`
+//! Filters: `shard=N` restricts a row fault to the worker process that
+//! registered `--worker-index N` (a one-shot `run` registers 0; a `serve`
+//! process registers none, so a `shard=` fault never fires in the broker's
+//! own journal append — an unfiltered one does; default: any); `after-rows=N`
 //! fires when this process's checkpointed/completed-row count reaches
 //! exactly `N` (default 1; for `heartbeat-stall` it counts granted leases —
 //! the stall happens before any row runs); `nth=N` fires on the `N`-th
@@ -175,8 +176,8 @@ impl fmt::Display for FaultKind {
 pub struct FaultSpec {
     /// Which fault point this arms.
     pub kind: FaultKind,
-    /// Row faults only: fire only in the worker running this shard of the
-    /// canonical expansion (`None` = any shard).
+    /// Row faults only: fire only in the worker that registered this index
+    /// (`None` = any process).
     pub shard: Option<usize>,
     /// Row faults: fire when the process's checkpointed-row count reaches
     /// exactly this (1-based).
@@ -356,8 +357,8 @@ struct FaultState {
     plan: FaultPlan,
     /// This process's supervised life number (1-based).
     life: u64,
-    /// The shard of the canonical expansion this process executes
-    /// ([`set_worker_shard`]); `u64::MAX` until registered.
+    /// This process's worker index ([`set_worker_shard`]); `u64::MAX`
+    /// until registered.
     shard: AtomicU64,
     rows: AtomicU64,
     artifact_stores: AtomicU64,
@@ -436,9 +437,9 @@ fn active() -> Option<&'static FaultState> {
     }
 }
 
-/// Registers which shard of the canonical expansion this process executes
-/// (the `--shard I/N` index; unsharded runs register 0), so `shard=` filters
-/// can address one worker of a supervised fleet.
+/// Registers this process's worker index (a TCP worker's `--worker-index`;
+/// a one-shot `run` registers 0), so `shard=` filters can address one
+/// worker of a supervised fleet.
 pub fn set_worker_shard(shard: usize) {
     if let Some(state) = active() {
         state.shard.store(shard as u64, Ordering::Relaxed);

@@ -85,8 +85,6 @@ pub use spec::{
     mechanism_token, parse_mechanism, parse_predictor, parse_workload, CampaignSpec,
     ConfigOverride, ConfigPoint, NocSel, SpecError, WorkloadPoint, MAX_WORKLOAD_POINTS,
 };
-pub use supervise::{
-    supervise, supervise_with_stop, ShardOutcome, ShardReport, SuperviseOptions, SupervisedRun,
-};
+pub use supervise::{supervise, ShardOutcome, ShardReport, SuperviseOptions, SupervisedRun};
 pub use verify::{verify_dir, CheckResult, VerifyOptions, VerifyReport};
 pub use worker::{run_worker, WorkerOptions, WorkerSummary};

@@ -1,24 +1,33 @@
 //! `boomerang-sim serve`: a spool-directory campaign service.
 //!
 //! The service watches a spool directory for campaign spec submissions
-//! (`*.toml` files). Each submission is dispatched across `workers` child
-//! processes of the simulator binary itself, sharded over the canonical job
-//! expansion (`run --shard i/N`); every worker checkpoints its rows to its
-//! own journal in the submission's output directory, so a crashed or killed
-//! worker loses nothing but its in-flight job. The workers run under the
-//! [`crate::supervise`] poll loop: a crashed shard is restarted with
-//! exponential backoff up to the retry budget, a shard whose journal stops
-//! growing is killed as hung (the kill consumes a retry), and a Ctrl-C on
-//! the service kills every child — no orphans. When the fleet completes,
-//! the collector replays the journals — *without* regenerating any
-//! workloads — assembles the canonical report, and writes the same
-//! `<name>.json` / `<name>.csv` bytes a one-shot `run` would have produced.
+//! (`*.toml` files). There is one dispatch path: every submission's job
+//! expansion is installed in a TCP work queue (a broker) and leased
+//! row-by-row to `boomerang-sim worker --connect` clients over the versioned
+//! [`crate::proto`] frame protocol. Without [`ServeOptions::listen`] the
+//! broker binds a private loopback port that is never published, so only
+//! the local fleet — `workers` child processes of the simulator binary
+//! itself — can drain it; with `listen` it binds the given address and
+//! remote workers join the same queue.
 //!
-//! If a shard exhausts its retries, the default is to fail the submission;
-//! with [`ServeOptions::allow_partial`] the collector instead assembles a
-//! degraded report from whatever rows are checkpointed, with the missing
-//! rows explicitly marked (see [`crate::engine::PartialReport`]), and marks
-//! the submission `.partial`.
+//! The broker is the sole journal writer in every mode: each submission's
+//! rows land in one `<name>.journal.jsonl` in its output directory, so a
+//! crashed or killed worker loses nothing but its in-flight row. The local
+//! workers run under the [`mod@crate::supervise`] poll loop: a crashed worker
+//! is restarted with exponential backoff up to the retry budget, a fleet
+//! that journals no row for the worker timeout has its workers killed as
+//! hung (the kill consumes a retry), and a Ctrl-C on the service kills
+//! every child — no orphans. When the queue drains, the collector replays
+//! the journal — *without* regenerating any workloads — assembles the
+//! canonical report, and writes the same `<name>.json` / `<name>.csv` bytes
+//! a one-shot `run` would have produced.
+//!
+//! If the queue cannot drain — every local worker exhausted its retries
+//! and, without `listen`, no other worker can ever connect — the default
+//! is to fail the submission; with [`ServeOptions::allow_partial`] the
+//! collector instead assembles a degraded report from whatever rows are
+//! checkpointed, with the missing rows explicitly marked (see
+//! [`crate::engine::PartialReport`]), and marks the submission `.partial`.
 //!
 //! Processed submissions are renamed `<file>.done` (or `<file>.partial`, or
 //! `<file>.failed` with the reason in `<file>.error`), so the spool is also
@@ -29,23 +38,19 @@
 //! is reclaimed, and [`ServeOptions::steal_lock_after`] adds an
 //! mtime-staleness escape hatch for platforms without procfs liveness.
 //!
-//! # Distributed mode
+//! # The work queue
 //!
-//! With [`ServeOptions::listen`] the service additionally runs a TCP work
-//! queue (a broker): each submission's job expansion is leased row-by-row
-//! to `boomerang-sim worker --connect` clients over the versioned
-//! [`crate::proto`] frame protocol. Leases are kept alive by worker
-//! heartbeats and row submissions; a lease silent past
-//! [`ServeOptions::lease_timeout`] is revoked and its job requeued with
-//! exponential backoff, so a crashed, partitioned, or hung worker only
-//! delays its in-flight row. The broker is the sole journal writer and
-//! dedups every submitted row against the journal-backed done set, which
-//! makes submission idempotent (retransmissions, revoked-then-completed
-//! leases) and lets a restarted broker resume mid-campaign from the
-//! journal. `workers > 0` still spawns a local fleet — as worker clients
-//! over loopback — so local and remote dispatch drain one queue through one
-//! code path and the merged report stays byte-identical to a one-shot
-//! `run`.
+//! Leases are kept alive by worker heartbeats and row submissions; a lease
+//! silent past [`ServeOptions::lease_timeout`] is revoked and its job
+//! requeued with exponential backoff, so a crashed, partitioned, or hung
+//! worker only delays its in-flight row. The broker dedups every submitted
+//! row against the journal-backed done set, which makes submission
+//! idempotent (retransmissions, revoked-then-completed leases) and lets a
+//! restarted service resume mid-campaign from the journal — including
+//! output directories written before the broker became the only writer,
+//! whose per-shard `<name>.journal-<i>.jsonl` files still replay. Local
+//! and remote workers drain one queue through one code path, so the merged
+//! report stays byte-identical to a one-shot `run`.
 //!
 //! # Result integrity
 //!
@@ -73,7 +78,7 @@ use crate::fault;
 use crate::proto::{read_message, write_message, Message};
 use crate::sink::{write_partial_reports, write_reports};
 use crate::spec::{mechanism_token, CampaignSpec};
-use crate::supervise::{self, supervise, supervise_with_stop, SuperviseOptions};
+use crate::supervise::{self, supervise, SuperviseOptions};
 use boomerang::RunLength;
 use frontend::SimStats;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -99,10 +104,9 @@ pub struct ServeOptions {
     pub spool: PathBuf,
     /// Root of the per-submission output directories.
     pub out: PathBuf,
-    /// Worker *processes* per submission.
+    /// Local worker *processes* per submission, each running one leased
+    /// row at a time. 0 is legal only with `listen` (remote-only dispatch).
     pub workers: usize,
-    /// Worker *threads* per process (`--jobs`; 0 = auto).
-    pub jobs: usize,
     /// Run every submission at smoke length.
     pub smoke: bool,
     /// Shared content-addressed workload artifact cache for the workers.
@@ -111,10 +115,11 @@ pub struct ServeOptions {
     pub once: bool,
     /// Poll interval between spool scans in milliseconds.
     pub poll_ms: u64,
-    /// Worker retry/backoff/timeout policy.
+    /// Local worker retry/backoff/timeout policy.
     pub supervise: SuperviseOptions,
-    /// When a shard exhausts its retries, assemble a degraded report from
-    /// the checkpointed rows instead of failing the submission.
+    /// When the queue cannot drain (the local fleet exhausted its retries
+    /// and no other worker finished the rows), assemble a degraded report
+    /// from the checkpointed rows instead of failing the submission.
     pub allow_partial: bool,
     /// Skip submissions modified within the last this-many milliseconds
     /// (still being written). 0 disables the settle window.
@@ -122,9 +127,9 @@ pub struct ServeOptions {
     /// Stop after this many spool scans (0 = unlimited). A testing handle:
     /// lets a polling serve loop terminate deterministically.
     pub max_scans: u64,
-    /// TCP listen address for the distributed work queue (`--listen`).
-    /// `None` keeps the process-spawn-only dispatch; `Some` runs the broker
-    /// and leases jobs to `boomerang-sim worker --connect` clients.
+    /// TCP listen address published to remote `boomerang-sim worker
+    /// --connect` clients (`--listen`). `None` binds the broker to a private
+    /// loopback port that only the local fleet is told about.
     pub listen: Option<String>,
     /// Write the broker's bound address (useful with `--listen 127.0.0.1:0`)
     /// to this file once listening.
@@ -138,12 +143,12 @@ pub struct ServeOptions {
     /// one) and for wedged owners that stopped scanning. A live serve
     /// refreshes the lock's mtime on every scan.
     pub steal_lock_after: Option<Duration>,
-    /// Broker mode: fraction (0.0..=1.0) of completed rows sampled for
-    /// re-execution by a *different* worker session, whose stats must match
-    /// the journaled row (`--verify-fraction`). The sample is deterministic
-    /// — seeded by the campaign's spec hash — so the same rows re-verify
-    /// across broker restarts. 0 disables sampling; the `row_fnv` checksum
-    /// on every submission is always verified regardless.
+    /// Fraction (0.0..=1.0) of completed rows sampled for re-execution by a
+    /// *different* worker session, whose stats must match the journaled row
+    /// (`--verify-fraction`). The sample is deterministic — seeded by the
+    /// campaign's spec hash — so the same rows re-verify across broker
+    /// restarts. 0 disables sampling; the `row_fnv` checksum on every
+    /// submission is always verified regardless.
     pub verify_fraction: f64,
     /// Fail the submission (with its own exit code, distinct from plain
     /// failure) once *more than* this many worker sessions have been
@@ -158,8 +163,7 @@ impl Default for ServeOptions {
             binary: PathBuf::new(),
             spool: PathBuf::new(),
             out: PathBuf::new(),
-            workers: 2,
-            jobs: 0,
+            workers: sim_core::pool::default_workers(),
             smoke: false,
             artifact_cache: None,
             once: false,
@@ -319,34 +323,38 @@ fn pid_is_live(pid: u32) -> bool {
 /// they happen in both modes).
 ///
 /// A failed spool scan (transient I/O error, injected or real) is logged and
-/// the loop keeps polling — it no longer kills the service.
+/// the loop keeps polling — it no longer kills the service. `workers == 0`
+/// without `listen` is refused with [`io::ErrorKind::InvalidInput`]: no
+/// worker could ever drain the queue.
 pub fn serve(
     options: &ServeOptions,
     report: &mut dyn FnMut(&ServeOutcome),
 ) -> io::Result<Vec<ServeOutcome>> {
+    if options.workers == 0 && options.listen.is_none() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "--workers 0 needs --listen (no local fleet and no remote workers)",
+        ));
+    }
     std::fs::create_dir_all(&options.spool)?;
     std::fs::create_dir_all(&options.out)?;
     let lock = SpoolLock::acquire(&options.spool, options.steal_lock_after)?;
-    let broker = match &options.listen {
-        Some(addr) => {
-            let broker = Broker::start(addr)?;
-            eprintln!("serve: work queue listening on {}", broker.addr);
-            if let Some(path) = &options.listen_addr_file {
-                // Published atomically (write-then-rename, same pattern as
-                // the report sink): a reader polling for the address can
-                // never observe a half-written port number.
-                let tmp = path.with_file_name(format!(
-                    ".tmp-{}-{}",
-                    std::process::id(),
-                    path.file_name().and_then(|n| n.to_str()).unwrap_or("addr")
-                ));
-                std::fs::write(&tmp, format!("{}\n", broker.addr))?;
-                std::fs::rename(&tmp, path)?;
-            }
-            Some(broker)
+    let broker = Broker::start(options.listen.as_deref().unwrap_or("127.0.0.1:0"))?;
+    if options.listen.is_some() {
+        eprintln!("serve: work queue listening on {}", broker.addr);
+        if let Some(path) = &options.listen_addr_file {
+            // Published atomically (write-then-rename, same pattern as the
+            // report sink): a reader polling for the address can never
+            // observe a half-written port number.
+            let tmp = path.with_file_name(format!(
+                ".tmp-{}-{}",
+                std::process::id(),
+                path.file_name().and_then(|n| n.to_str()).unwrap_or("addr")
+            ));
+            std::fs::write(&tmp, format!("{}\n", broker.addr))?;
+            std::fs::rename(&tmp, path)?;
         }
-        None => None,
-    };
+    }
     let mut outcomes = Vec::new();
     let mut scans: u64 = 0;
     loop {
@@ -360,7 +368,7 @@ pub fn serve(
         };
         scans += 1;
         for submission in submissions {
-            let outcome = process_submission(&submission, options, broker.as_ref());
+            let outcome = process_submission(&submission, options, &broker);
             finalize_submission(&submission, &outcome);
             report(&outcome);
             outcomes.push(outcome);
@@ -372,9 +380,7 @@ pub fn serve(
             || supervise::interrupted()
             || (options.max_scans > 0 && scans >= options.max_scans)
         {
-            if let Some(broker) = broker {
-                broker.finish();
-            }
+            broker.finish();
             return Ok(outcomes);
         }
         std::thread::sleep(std::time::Duration::from_millis(options.poll_ms.max(10)));
@@ -444,11 +450,7 @@ fn finalize_submission(submission: &Path, outcome: &ServeOutcome) {
     }
 }
 
-fn process_submission(
-    submission: &Path,
-    options: &ServeOptions,
-    broker: Option<&Broker>,
-) -> ServeOutcome {
+fn process_submission(submission: &Path, options: &ServeOptions, broker: &Broker) -> ServeOutcome {
     let mut outcome = ServeOutcome {
         submission: submission.to_path_buf(),
         campaign: String::new(),
@@ -502,139 +504,27 @@ fn process_submission(
         }
     }
 
-    outcome.result = match broker {
-        // Broker mode: the queue feeds local worker clients and remote TCP
-        // workers alike; `--workers 0` is legal (remote-only dispatch).
-        Some(broker) => match dispatch_via_broker(&spec, &dir, run, &hash, options, broker) {
-            Ok(status) => Ok(status),
-            Err(DispatchError::Failed(reason)) => Err(reason),
-            Err(DispatchError::QuarantineExceeded(reason)) => {
-                outcome.quarantine_exceeded = true;
-                Err(reason)
-            }
-        },
-        None => {
-            let workers = options.workers.max(1);
-            dispatch_and_merge(submission, &spec, &dir, run, &hash, workers, options)
+    outcome.result = match dispatch_via_broker(&spec, &dir, run, &hash, options, broker) {
+        Ok(status) => Ok(status),
+        Err(DispatchError::Failed(reason)) => Err(reason),
+        Err(DispatchError::QuarantineExceeded(reason)) => {
+            outcome.quarantine_exceeded = true;
+            Err(reason)
         }
     };
     outcome
 }
 
-/// Runs the sharded workers under supervision, then merges their journals
-/// into the canonical report — or, when retries are exhausted and partial
-/// output is allowed, into a degraded report over the checkpointed rows.
-fn dispatch_and_merge(
-    submission: &Path,
-    spec: &CampaignSpec,
-    dir: &Path,
-    run: RunLength,
-    hash: &str,
-    workers: usize,
-    options: &ServeOptions,
-) -> Result<SubmissionStatus, String> {
-    let mut make_command = |shard: usize| {
-        let mut cmd = Command::new(&options.binary);
-        cmd.arg("run")
-            .arg(submission)
-            .arg("--out")
-            .arg(dir)
-            .arg("--shard")
-            .arg(format!("{shard}/{workers}"))
-            .arg("--resume")
-            .arg("--quiet")
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit());
-        if options.jobs > 0 {
-            cmd.arg("--jobs").arg(options.jobs.to_string());
-        }
-        if options.smoke {
-            cmd.arg("--smoke");
-        }
-        if let Some(cache) = &options.artifact_cache {
-            cmd.arg("--artifact-cache").arg(cache);
-        }
-        cmd
-    };
-    // The per-shard progress probe: the shard's journal grows (monotonically,
-    // append-only) with every checkpointed row. The supervisor re-reads the
-    // baseline at each spawn, so a resume that truncates a torn tail cannot
-    // masquerade as progress.
-    let shard_arg = |shard: usize| {
-        if workers > 1 {
-            Some((shard, workers))
-        } else {
-            None
-        }
-    };
-    let mut progress = |shard: usize| {
-        std::fs::metadata(Journal::path_for(dir, &spec.name, shard_arg(shard)))
-            .map(|m| m.len())
-            .unwrap_or(0)
-    };
-    let supervised = supervise(
-        workers,
-        &mut make_command,
-        &mut progress,
-        &options.supervise,
-        &mut |line| eprintln!("serve: {line}"),
-    );
-
-    if supervised.interrupted() {
-        return Err("interrupted before the submission finished".to_string());
-    }
-
-    let jobs = expand(spec);
-    if supervised.all_complete() {
-        let replay =
-            JournalReplay::load(dir, &spec.name, hash, &jobs).map_err(|e| e.to_string())?;
-        if replay.completed() != jobs.len() {
-            return Err(format!(
-                "workers exited cleanly but only {} of {} jobs are checkpointed",
-                replay.completed(),
-                jobs.len()
-            ));
-        }
-        let stats: Vec<SimStats> = (0..jobs.len()).map(|i| replay.rows[&i]).collect();
-        let report = assemble_report(spec, &jobs, run, options.smoke, stats);
-        write_reports(&report, dir).map_err(|e| format!("cannot write reports: {e}"))?;
-        return Ok(SubmissionStatus::Done(dir.to_path_buf()));
-    }
-
-    let failures = supervised.failures();
-    if !options.allow_partial {
-        return Err(failures.join("; "));
-    }
-
-    // Graceful degradation: whatever rows the dead shards checkpointed are
-    // real (the journal only holds finished jobs), so report them and mark
-    // the holes instead of discarding everything.
-    let replay = JournalReplay::load(dir, &spec.name, hash, &jobs).map_err(|e| e.to_string())?;
-    let stats: Vec<Option<SimStats>> = (0..jobs.len())
-        .map(|i| replay.rows.get(&i).copied())
-        .collect();
-    let partial = assemble_partial_report(spec, &jobs, run, options.smoke, &stats, failures);
-    let missing = partial.missing();
-    write_partial_reports(&partial, dir)
-        .map_err(|e| format!("cannot write partial reports: {e}"))?;
-    Ok(SubmissionStatus::Partial {
-        dir: dir.to_path_buf(),
-        missing,
-    })
-}
-
-// ---- distributed work queue ---------------------------------------------
+// ---- the work queue -----------------------------------------------------
 //
-// With `--listen`, serve runs a broker: submissions install an
-// `ActiveCampaign` (job queue + journal) in shared state, and every
-// connected `boomerang-sim worker` drains it over the `crate::proto` frame
-// protocol. The broker is the *only* journal writer in this mode, which is
-// what makes row submission idempotent: every `RowDone` is deduped against
-// the done set (seeded from the journal replay on resume) under one lock
-// before it is appended, so a retransmitted frame, a revoked-then-completed
-// lease, or a worker that crashed between send and ack can never
-// double-append a row.
+// Submissions install an `ActiveCampaign` (job queue + journal) in the
+// broker's shared state, and every connected `boomerang-sim worker` drains
+// it over the `crate::proto` frame protocol. The broker is the *only*
+// journal writer, which is what makes row submission idempotent: every
+// `RowDone` is deduped against the done set (seeded from the journal replay
+// on resume) under one lock before it is appended, so a retransmitted frame,
+// a revoked-then-completed lease, or a worker that crashed between send and
+// ack can never double-append a row.
 
 /// One queued (not currently leased) job.
 struct QueuedJob {
@@ -1310,9 +1200,9 @@ fn handle_connection(stream: TcpStream, shared: &BrokerShared) {
 }
 
 /// Dispatches one submission through the work queue: installs the campaign
-/// (resuming from its journal), optionally runs a local worker fleet
-/// connected over loopback, waits for the queue to drain, and merges the
-/// journal into the canonical report.
+/// (resuming from its journals), runs the local worker fleet connected over
+/// loopback, waits for the queue to drain, and merges the journals into the
+/// canonical report.
 fn dispatch_via_broker(
     spec: &CampaignSpec,
     dir: &Path,
@@ -1323,8 +1213,9 @@ fn dispatch_via_broker(
 ) -> Result<SubmissionStatus, DispatchError> {
     let fail = |reason: String| DispatchError::Failed(reason);
     let jobs = expand(spec);
-    // Resume: rows already journaled (by an earlier broker life, or an
-    // earlier non-listen dispatch) are done — never re-leased.
+    // Resume: rows already journaled (by an earlier broker life, or in the
+    // per-shard journals of a directory written before the broker became
+    // the only writer) are done — never re-leased.
     let replay =
         JournalReplay::load(dir, &spec.name, hash, &jobs).map_err(|e| fail(e.to_string()))?;
     let done: HashSet<usize> = replay.rows.keys().copied().collect();
@@ -1336,9 +1227,8 @@ fn dispatch_via_broker(
             jobs.len()
         );
     }
-    let unsharded = Journal::path_for(dir, &spec.name, None);
-    let journal = if unsharded.exists() {
-        Journal::append(dir, &spec.name, None)
+    let journal = if Journal::path_for(dir, &spec.name).exists() {
+        Journal::append(dir, &spec.name)
     } else {
         Journal::create(dir, &spec.name, hash, jobs.len(), None)
     }
@@ -1387,7 +1277,8 @@ fn dispatch_via_broker(
     };
 
     // Local dispatch: the same worker client, connected over loopback, so
-    // mixed local+remote fleets drain one queue through one code path. The
+    // local and remote workers drain one queue through one code path. The
+    // fleet-wide progress probe is rows journaled this dispatch; the
     // supervisor's stop closure doubles as the lease-expiry sweep.
     let mut fleet_failures: Vec<String> = Vec::new();
     if options.workers > 0 {
@@ -1412,7 +1303,7 @@ fn dispatch_via_broker(
             cmd
         };
         let shared = Arc::clone(&broker.shared);
-        let mut progress = move |_shard: usize| {
+        let mut progress = move || {
             let guard = shared.campaign.lock().expect("campaign mutex");
             guard.as_ref().map(|c| c.rows_submitted).unwrap_or(0)
         };
@@ -1427,7 +1318,7 @@ fn dispatch_via_broker(
                 None => true,
             }
         };
-        let supervised = supervise_with_stop(
+        let supervised = supervise(
             options.workers,
             &mut make_command,
             &mut progress,
@@ -1446,13 +1337,15 @@ fn dispatch_via_broker(
         }
     }
 
-    // Wait for remote workers to drain what's left. Give up after a long
-    // silence — several lease timeouts with no grant, heartbeat, or row.
+    // Wait for remote workers to drain what's left. Without `listen` no
+    // other worker can ever connect, so a fleet that stopped short goes
+    // straight to the merge. With it, give up after a long silence —
+    // several lease timeouts with no grant, heartbeat, or row.
     let give_up = options
         .lease_timeout
         .saturating_mul(3)
         .max(Duration::from_secs(2));
-    loop {
+    while options.listen.is_some() {
         let (complete, breached, idle_for) = {
             let mut guard = broker.shared.campaign.lock().expect("campaign mutex");
             let campaign = guard.as_mut().expect("campaign installed");
@@ -1514,8 +1407,8 @@ fn dispatch_via_broker(
         )));
     }
 
-    // Merge — identical to the local path: replay the journals, assemble
-    // the canonical (or degraded) report.
+    // Merge: replay the journals, assemble the canonical (or degraded)
+    // report.
     let replay =
         JournalReplay::load(dir, &spec.name, hash, &jobs).map_err(|e| fail(e.to_string()))?;
     if replay.completed() == jobs.len() {

@@ -1,16 +1,17 @@
 //! Worker-fleet supervision: restart-with-backoff, hang detection, and
-//! orphan-free shutdown for sharded campaign workers.
+//! orphan-free shutdown for the service's local campaign workers.
 //!
-//! The previous service dispatch was spawn-all / `wait()`-all: one crashed
-//! worker failed the whole submission and one hung worker wedged it forever.
-//! [`supervise`] replaces that with a poll loop (`try_wait`) over a fleet of
-//! shard slots. A slot whose child exits nonzero is respawned after an
-//! exponential backoff, up to `max_retries` restarts; a slot whose progress
-//! probe (journal bytes — monotonic while the worker runs) stops moving for
-//! `worker_timeout` is killed and the kill counts as a retry. Because
-//! workers checkpoint every row and `--resume` replays the journal, a
-//! restarted shard re-runs only its unfinished jobs, and the merged report
-//! stays byte-identical to an uninterrupted run's.
+//! A spawn-all / `wait()`-all dispatch lets one crashed worker fail the
+//! whole submission and one hung worker wedge it forever. [`supervise`]
+//! instead runs a poll loop (`try_wait`) over a fleet of worker slots. A
+//! slot whose child exits nonzero is respawned after an exponential
+//! backoff, up to `max_retries` restarts; a running slot that sees the
+//! fleet's progress probe (rows journaled by the broker — monotonic while
+//! the queue drains) stand still for `worker_timeout` is killed and the
+//! kill counts as a retry. Because the broker journals every row and
+//! requeues the lease of a worker that died, a restarted worker only picks
+//! up unfinished jobs, and the merged report stays byte-identical to an
+//! uninterrupted run's.
 //!
 //! Every spawn carries the worker's **life number** (1-based) in
 //! [`fault::FAULT_LIFE_ENV`], so a deterministic fault plan
@@ -31,14 +32,14 @@ use std::time::{Duration, Instant};
 /// Retry, timeout and pacing policy for one supervised fleet.
 #[derive(Clone, Debug)]
 pub struct SuperviseOptions {
-    /// Restarts allowed per shard after its first life (so a shard runs at
-    /// most `max_retries + 1` times).
+    /// Restarts allowed per worker after its first life (so a worker runs
+    /// at most `max_retries + 1` times).
     pub max_retries: u32,
-    /// Kill a worker whose progress probe has not moved for this long. The
+    /// Kill a worker that has seen no fleet progress for this long. The
     /// kill consumes a retry.
     pub worker_timeout: Duration,
     /// Backoff before the first restart; doubles per subsequent restart of
-    /// the same shard.
+    /// the same worker.
     pub backoff_base: Duration,
     /// Upper bound on the doubled backoff.
     pub backoff_cap: Duration,
@@ -82,7 +83,7 @@ pub enum ShardOutcome {
 /// One shard's terminal report.
 #[derive(Clone, Debug)]
 pub struct ShardReport {
-    /// The shard index in the canonical expansion.
+    /// The worker slot index (the `--worker-index` its lives run with).
     pub shard: usize,
     /// Lives used (1 = no restarts).
     pub lives: u32,
@@ -230,13 +231,21 @@ impl Drop for Fleet {
 /// Runs `shards` worker processes to completion under the retry/backoff/
 /// timeout policy in `options`.
 ///
-/// `make_command` builds the command for one shard (it is called once per
-/// life; the supervisor adds the [`FAULT_LIFE_ENV`] life number before
-/// spawning). `progress` is the shard's monotonic progress probe — journal
-/// bytes in the real service; the baseline is re-read at every spawn, so a
-/// restart that truncates a torn journal tail cannot look like progress or
-/// trip the hang detector. `log` receives one line per supervision event
-/// (crash, backoff, hang kill, exhaustion).
+/// `make_command` builds the command for one worker slot (it is called once
+/// per life; the supervisor adds the [`FAULT_LIFE_ENV`] life number before
+/// spawning). `progress` is the fleet's monotonic progress probe — rows
+/// journaled by the broker in the real service; each slot re-reads its
+/// baseline at every spawn, and a probe that goes down is never read as
+/// progress. `log` receives one line per supervision event (crash, backoff,
+/// hang kill, exhaustion).
+///
+/// `stop` is polled once per sweep. When it returns `true` the queue is
+/// treated as drained: running and waiting slots are killed and marked
+/// [`ShardOutcome::Completed`] (their work is done or was done by someone
+/// else — the broker's workers idle on an empty queue rather than exit).
+/// Slots already terminal keep their outcome. The `stop` closure doubles as
+/// a per-poll tick, so a caller can piggyback periodic work (the broker's
+/// lease-expiry sweep) on it.
 ///
 /// Never blocks on a wedged child and never returns with a child still
 /// running: every slot ends [`ShardOutcome::Completed`], `Exhausted`,
@@ -244,26 +253,7 @@ impl Drop for Fleet {
 pub fn supervise(
     shards: usize,
     make_command: &mut dyn FnMut(usize) -> Command,
-    progress: &mut dyn FnMut(usize) -> u64,
-    options: &SuperviseOptions,
-    log: &mut dyn FnMut(&str),
-) -> SupervisedRun {
-    supervise_with_stop(shards, make_command, progress, options, log, &mut || false)
-}
-
-/// [`supervise`] with an external stop signal, polled once per sweep.
-///
-/// When `stop` returns `true` the remaining queue is treated as drained:
-/// running and waiting slots are killed and marked [`ShardOutcome::Completed`]
-/// (their work is done or was done by someone else — the broker uses this
-/// when TCP workers finish the queue while local shards still run). Slots
-/// already terminal keep their outcome. The `stop` closure doubles as a
-/// per-poll tick, so a caller can piggyback periodic work (the broker's
-/// lease-expiry sweep) on it.
-pub fn supervise_with_stop(
-    shards: usize,
-    make_command: &mut dyn FnMut(usize) -> Command,
-    progress: &mut dyn FnMut(usize) -> u64,
+    progress: &mut dyn FnMut() -> u64,
     options: &SuperviseOptions,
     log: &mut dyn FnMut(&str),
     stop: &mut dyn FnMut() -> bool,
@@ -301,13 +291,12 @@ pub fn supervise_with_stop(
                             *slot = after_failure(shard, stats, &failure, options, log);
                         }
                         Ok(None) => {
-                            let now_progress = progress(shard);
+                            let now_progress = progress();
                             if now_progress > *last_progress {
                                 *last_progress = now_progress;
                                 *last_change = Instant::now();
                             } else if now_progress < *last_progress {
-                                // A shrink (torn-tail truncation across a
-                                // restart) re-baselines the probe but is NOT
+                                // A shrink re-baselines the probe but is NOT
                                 // progress: the hang clock keeps running.
                                 *last_progress = now_progress;
                             } else if last_change.elapsed() >= options.worker_timeout {
@@ -391,7 +380,7 @@ pub fn supervise_with_stop(
 fn spawn_life(
     shard: usize,
     make_command: &mut dyn FnMut(usize) -> Command,
-    progress: &mut dyn FnMut(usize) -> u64,
+    progress: &mut dyn FnMut() -> u64,
     stats: &mut ShardStats,
     log: &mut dyn FnMut(&str),
 ) -> Slot {
@@ -408,7 +397,7 @@ fn spawn_life(
             }
             Slot::Running {
                 child,
-                last_progress: progress(shard),
+                last_progress: progress(),
                 last_change: Instant::now(),
             }
         }
@@ -490,9 +479,10 @@ mod tests {
         let run = supervise(
             3,
             &mut |_| sh("exit 0".into()),
-            &mut |_| 0,
+            &mut || 0,
             &fast_options(),
             &mut |_| {},
+            &mut || false,
         );
         assert!(run.all_complete());
         assert!(run.failures().is_empty());
@@ -511,9 +501,10 @@ mod tests {
         let run = supervise(
             1,
             &mut |_| sh(script.clone()),
-            &mut |_| 0,
+            &mut || 0,
             &fast_options(),
             &mut |line| logs.push(line.to_string()),
+            &mut || false,
         );
         assert!(run.all_complete());
         assert_eq!(run.shards[0].lives, 2);
@@ -529,9 +520,10 @@ mod tests {
         let run = supervise(
             1,
             &mut |_| sh("exit 7".into()),
-            &mut |_| 0,
+            &mut || 0,
             &fast_options(),
             &mut |_| {},
+            &mut || false,
         );
         assert!(!run.all_complete());
         let ShardOutcome::Exhausted {
@@ -557,9 +549,10 @@ mod tests {
         let run = supervise(
             1,
             &mut |_| sh("sleep 30".into()),
-            &mut |_| 42, // never moves
+            &mut || 42, // never moves
             &options,
             &mut |_| {},
+            &mut || false,
         );
         assert!(start.elapsed() < Duration::from_secs(10), "hang not killed");
         assert_eq!(run.shards[0].hangs, 1);
@@ -581,12 +574,13 @@ mod tests {
             1,
             // Outlives several timeout windows, but the probe keeps moving.
             &mut |_| sh("sleep 0.5; exit 0".into()),
-            &mut |_| {
+            &mut || {
                 ticks += 1;
                 ticks
             },
             &options,
             &mut |_| {},
+            &mut || false,
         );
         assert!(run.all_complete(), "{:?}", run.failures());
         assert_eq!(run.shards[0].hangs, 0);
@@ -594,9 +588,8 @@ mod tests {
 
     #[test]
     fn shrinking_progress_is_not_progress() {
-        // A torn-tail truncation makes the probe go *down*; that must not
-        // reset the hang clock, or a worker that only ever truncates could
-        // dodge the detector forever by alternating probe values.
+        // A probe that goes *down* must not reset the hang clock, or a
+        // fleet could dodge the detector forever by alternating values.
         let options = SuperviseOptions {
             max_retries: 0,
             worker_timeout: Duration::from_millis(150),
@@ -607,14 +600,15 @@ mod tests {
         let run = supervise(
             1,
             &mut |_| sh("sleep 30".into()),
-            &mut |_| {
+            &mut || {
                 // Strictly decreasing: every poll sees a different, smaller
-                // value. Under the old `!=` rule this counted as progress.
+                // value. Under a `!=` rule this would count as progress.
                 probe = probe.saturating_sub(1);
                 probe
             },
             &options,
             &mut |_| {},
+            &mut || false,
         );
         assert!(
             start.elapsed() < Duration::from_secs(10),
@@ -633,10 +627,10 @@ mod tests {
         let mut polls = 0u32;
         let mut logs = Vec::new();
         let start = Instant::now();
-        let run = supervise_with_stop(
+        let run = supervise(
             2,
             &mut |_| sh("sleep 30".into()),
-            &mut |_| 0,
+            &mut || 0,
             &options,
             &mut |line| logs.push(line.to_string()),
             &mut || {
@@ -657,9 +651,10 @@ mod tests {
         let run = supervise(
             1,
             &mut |_| sh(script.clone()),
-            &mut |_| 0,
+            &mut || 0,
             &fast_options(),
             &mut |_| {},
+            &mut || false,
         );
         assert!(!run.all_complete());
         let seen = std::fs::read_to_string(&lives).unwrap();
@@ -672,9 +667,10 @@ mod tests {
         let run = supervise(
             1,
             &mut |_| Command::new("/nonexistent-binary-for-supervise-test"),
-            &mut |_| 0,
+            &mut || 0,
             &fast_options(),
             &mut |_| {},
+            &mut || false,
         );
         assert!(matches!(
             run.shards[0].outcome,

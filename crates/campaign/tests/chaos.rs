@@ -5,11 +5,13 @@
 //! processes (the fault runtime is process-global, so in-process arming
 //! would leak between tests) and then asserts the service-level contract:
 //!
-//! - crashes, torn journal tails and hangs are retried and the recovered
-//!   submission renders **byte-identical** reports to an undisturbed run,
+//! - worker crashes and hangs are retried, a torn tail in the service's own
+//!   journal is truncated on resume, and the recovered submission renders
+//!   **byte-identical** reports to an undisturbed run,
 //! - exhausted retries fail loudly (`.failed` + `.error`) or — under
 //!   `--allow-partial` — degrade to an explicit partial report (exit 4,
-//!   `.partial`, holes marked per row),
+//!   `.partial`, holes marked per row), in seconds: plain `serve` has no
+//!   remote workers to wait for,
 //! - torn report writes never publish a half-written file,
 //! - damaged artifact-cache entries are rejected, warned about and
 //!   regenerated, never trusted,
@@ -17,6 +19,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_boomerang-sim");
 
@@ -77,6 +80,12 @@ fn serve_mini(tag: &str, extra: &[&str]) -> (Output, PathBuf, PathBuf) {
     let spool = temp_dir(&format!("{tag}-spool"));
     let out = temp_dir(&format!("{tag}-out"));
     std::fs::write(spool.join("mini.toml"), MINI_SPEC).unwrap();
+    (serve_spool(&spool, &out, extra), spool, out)
+}
+
+/// Serves whatever `spool` holds once, with two local workers and the given
+/// extra flags.
+fn serve_spool(spool: &Path, out: &Path, extra: &[&str]) -> Output {
     let mut args = vec![
         "serve",
         "--once",
@@ -91,8 +100,7 @@ fn serve_mini(tag: &str, extra: &[&str]) -> (Output, PathBuf, PathBuf) {
         out.to_str().unwrap(),
     ];
     args.extend_from_slice(extra);
-    let output = Command::new(BIN).args(&args).output().unwrap();
-    (output, spool, out)
+    Command::new(BIN).args(&args).output().unwrap()
 }
 
 fn assert_matches_reference(tag: &str, out: &Path) {
@@ -128,29 +136,53 @@ fn crashed_worker_is_restarted_and_bytes_match_a_clean_run() {
     }
 }
 
+/// The broker is the only journal writer, so the torn append happens in
+/// its own journal: the first `serve` writes half of its second row and
+/// dies. Its orphaned local workers must give up on their reconnect budget
+/// (`output()` waits for them, since they share its stderr), and a clean
+/// re-serve of the same spool must resume, truncate the torn tail and
+/// render the undisturbed bytes.
 #[test]
 fn torn_journal_tail_is_truncated_on_resume_and_bytes_match() {
     let (output, spool, out) = serve_mini(
         "torn",
-        &["--fault-inject", "journal-torn-tail:shard=1:after-rows=2"],
+        &["--fault-inject", "journal-torn-tail:after-rows=2"],
     );
     let stderr = stderr_of(&output);
+    assert_eq!(output.status.code(), Some(FAULT_EXIT), "{stderr}");
+    assert!(spool.join("mini.toml").exists(), "{stderr}");
+    let journal = out.join("mini").join("chaos-mini.journal.jsonl");
+    let torn = std::fs::read(&journal).unwrap();
+    assert_ne!(torn.last(), Some(&b'\n'), "the tail must be torn");
+
+    let output = serve_spool(&spool, &out, &[]);
+    let stderr = stderr_of(&output);
     assert!(output.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("resuming chaos-mini: 1 of 12"),
+        "the re-serve must resume the one intact row: {stderr}"
+    );
     assert!(spool.join("mini.toml.done").exists(), "{stderr}");
-    assert!(stderr.contains("retrying"), "{stderr}");
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(text.lines().count(), 1 + 12, "header + one line per job");
     assert_matches_reference("torn", &out);
     for dir in [spool, out] {
         std::fs::remove_dir_all(dir).unwrap();
     }
 }
 
+/// Both workers hang after their first row, so the fleet journals nothing
+/// for the worker timeout; the supervisor kills both as hung, and their
+/// second lives (the fault arms the first life only) finish the queue.
+/// One `shard=` entry per worker: an unfiltered row fault would also fire
+/// in the service's own journal append.
 #[test]
 fn hung_worker_is_killed_retried_and_bytes_match() {
     let (output, spool, out) = serve_mini(
         "hang",
         &[
             "--fault-inject",
-            "worker-hang:shard=0:after-rows=1",
+            "worker-hang:shard=0:after-rows=1,worker-hang:shard=1:after-rows=1",
             "--worker-timeout-secs",
             "3",
         ],
@@ -160,7 +192,7 @@ fn hung_worker_is_killed_retried_and_bytes_match() {
     assert!(spool.join("mini.toml.done").exists(), "{stderr}");
     assert!(
         stderr.contains("hung"),
-        "supervisor must label the stalled shard as hung: {stderr}"
+        "supervisor must label the stalled workers as hung: {stderr}"
     );
     assert_matches_reference("hang", &out);
     for dir in [spool, out] {
@@ -168,46 +200,60 @@ fn hung_worker_is_killed_retried_and_bytes_match() {
     }
 }
 
+/// Both workers crash after every row; once both budgets are spent no
+/// worker is left to drain the queue, and plain `serve` (no `--listen`, so
+/// no remote worker can ever connect) fails at once instead of waiting out
+/// the 180 s idle give-up timer.
 #[test]
 fn exhausted_retries_fail_the_submission_loudly() {
-    let (output, spool, _out) = serve_mini(
+    let start = Instant::now();
+    let (output, spool, out) = serve_mini(
         "exhaust",
         &[
             "--fault-inject",
-            "worker-exit:shard=0:after-rows=1:lives=all",
+            "worker-exit:shard=0:after-rows=1:lives=all,worker-exit:shard=1:after-rows=1:lives=all",
             "--max-retries",
             "1",
         ],
     );
     let stderr = stderr_of(&output);
+    assert!(
+        start.elapsed() < Duration::from_secs(60),
+        "an exhausted local fleet must not wait for remote workers: {stderr}"
+    );
     assert_eq!(output.status.code(), Some(1), "{stderr}");
     assert!(spool.join("mini.toml.failed").exists(), "{stderr}");
     let note = std::fs::read_to_string(spool.join("mini.toml.error")).unwrap();
     assert!(
         note.contains("shard 0") && note.contains("attempt"),
-        "the .error note must name the dead shard and the attempts: {note}"
+        "the .error note must name the dead worker and the attempts: {note}"
     );
-    std::fs::remove_dir_all(spool).unwrap();
+    for dir in [spool, out] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 #[test]
 fn allow_partial_degrades_to_an_explicit_holes_marked_report() {
-    // Persistent crash on shard 0 after every first row, sequential worker
-    // (--jobs 1) for a deterministic row order: 3 lives (--max-retries 2)
-    // checkpoint exactly 3 of shard 0's 6 rows before the budget runs out.
+    // Both workers crash after every row they complete, and each row is
+    // journaled before its worker exits: 2 workers x 3 lives (--max-retries
+    // 2) journal exactly 6 of the 12 rows before both budgets run out.
+    let start = Instant::now();
     let (output, spool, out) = serve_mini(
         "partial",
         &[
             "--fault-inject",
-            "worker-exit:shard=0:after-rows=1:lives=all",
+            "worker-exit:shard=0:after-rows=1:lives=all,worker-exit:shard=1:after-rows=1:lives=all",
             "--max-retries",
             "2",
-            "--jobs",
-            "1",
             "--allow-partial",
         ],
     );
     let stderr = stderr_of(&output);
+    assert!(
+        start.elapsed() < Duration::from_secs(60),
+        "an exhausted local fleet must not wait for remote workers: {stderr}"
+    );
     assert_eq!(output.status.code(), Some(PARTIAL_EXIT), "{stderr}");
     assert!(spool.join("mini.toml.partial").exists(), "{stderr}");
     assert!(stderr.contains("PARTIAL"), "{stderr}");
@@ -232,7 +278,7 @@ fn allow_partial_degrades_to_an_explicit_holes_marked_report() {
         );
     }
     let missing = lines.iter().filter(|l| l.ends_with(",missing")).count();
-    assert_eq!(missing, 3, "3 lives checkpoint 3 of 6 shard-0 rows:\n{csv}");
+    assert_eq!(missing, 6, "6 lives journal 6 of the 12 rows:\n{csv}");
 
     for dir in [spool, out] {
         std::fs::remove_dir_all(dir).unwrap();

@@ -4,9 +4,10 @@
 //! directory guard, and the spool-directory serve mode.
 //!
 //! The invariant under test everywhere: reports are a pure function of the
-//! spec. However a campaign is cut up — killed and resumed, sharded over
-//! worker processes, replayed from journals — the merged JSON and CSV bytes
-//! must equal an uninterrupted run's.
+//! spec. However a campaign is cut up — killed and resumed, leased to worker
+//! processes, replayed from journals (including the per-shard journals of
+//! older `serve` directories) — the merged JSON and CSV bytes must equal an
+//! uninterrupted run's.
 
 use boomerang::RunLength;
 use campaign::checkpoint::{spec_hash, Journal, JournalReplay};
@@ -69,8 +70,8 @@ fn run_interrupted(
             let report = assemble_report(spec, &jobs, run, options.smoke, stats);
             return (to_json(&report), to_csv(&report));
         }
-        let journal = if Journal::path_for(dir, &spec.name, None).exists() {
-            Journal::append(dir, &spec.name, None)
+        let journal = if Journal::path_for(dir, &spec.name).exists() {
+            Journal::append(dir, &spec.name)
         } else {
             Journal::create(dir, &spec.name, &hash, jobs.len(), None)
         }
@@ -84,10 +85,7 @@ fn run_interrupted(
             options,
             &generated,
             &done,
-            RunPlan {
-                shard: None,
-                limit: Some(chunk),
-            },
+            RunPlan { limit: Some(chunk) },
             Some(&on_row),
         );
     }
@@ -147,17 +145,7 @@ fn row_limited_pass_resumes_to_oneshot_bytes() {
     };
     let generated = generate_workloads(&spec, &opts).unwrap();
     let pass = |done: &HashMap<usize, SimStats>, limit: Option<usize>| {
-        run_generated_partial(
-            &spec,
-            &opts,
-            &generated,
-            done,
-            RunPlan {
-                limit,
-                ..RunPlan::default()
-            },
-            None,
-        )
+        run_generated_partial(&spec, &opts, &generated, done, RunPlan { limit }, None)
     };
     let oneshot = pass(&HashMap::new(), None);
     assert!(oneshot.is_complete());
@@ -191,41 +179,6 @@ fn row_limited_pass_resumes_to_oneshot_bytes() {
         report(oneshot.stats),
         "a resumed pass over a partially journaled group must render the \
          one-shot bytes"
-    );
-}
-
-#[test]
-fn three_way_shard_merge_equals_oneshot_stats() {
-    let spec = presets::find("figure9").unwrap();
-    let opts = EngineOptions {
-        jobs: 2,
-        smoke: true,
-        ..EngineOptions::default()
-    };
-    let generated = generate_workloads(&spec, &opts).unwrap();
-    let pass = |plan: RunPlan| {
-        run_generated_partial(&spec, &opts, &generated, &HashMap::new(), plan, None)
-    };
-    let oneshot = pass(RunPlan::default());
-
-    // The canonical round-robin scatters every group across the shards.
-    let mut merged: Vec<Option<SimStats>> = vec![None; generated.job_count()];
-    for shard in 0..3 {
-        let stats = pass(RunPlan {
-            shard: Some((shard, 3)),
-            ..RunPlan::default()
-        })
-        .stats;
-        for (slot, s) in merged.iter_mut().zip(stats) {
-            if let Some(s) = s {
-                assert!(slot.is_none(), "shards must not overlap");
-                *slot = Some(s);
-            }
-        }
-    }
-    assert_eq!(
-        merged, oneshot.stats,
-        "--shard i/3 passes must merge to the one-shot stats"
     );
 }
 
@@ -425,8 +378,6 @@ fn serve_processes_a_spool_and_matches_oneshot_bytes() {
     std::fs::write(spool.join("mini.toml"), MINI_SPEC).unwrap();
 
     let status = Command::new(BIN)
-        // No --jobs: the workers must run with the binary's own default
-        // (serve omits the flag when jobs = 0, it must not pass `--jobs 0`).
         .args(["serve", "--once", "--workers", "3", "--quiet", "--spool"])
         .arg(&spool)
         .arg("--out")
@@ -462,13 +413,90 @@ fn serve_processes_a_spool_and_matches_oneshot_bytes() {
         std::fs::read(out.join("mini").join("service-mini.csv")).unwrap(),
         std::fs::read(oneshot.join("service-mini.csv")).unwrap()
     );
-    // Three worker shards, three journals.
-    for shard in 0..3 {
-        assert!(out
-            .join("mini")
-            .join(format!("service-mini.journal-{shard}.jsonl"))
-            .exists());
+    // Three workers, one journal: the broker is its only writer.
+    let journals: Vec<String> = std::fs::read_dir(out.join("mini"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.contains(".journal"))
+        .collect();
+    assert_eq!(journals, ["service-mini.journal.jsonl"]);
+
+    for dir in [spool, out, oneshot] {
+        std::fs::remove_dir_all(dir).unwrap();
     }
+}
+
+/// A directory written by the per-shard `serve` of earlier releases: two
+/// shard-format journals (`journal-0`, `journal-1`), each cut short, that
+/// together hold 5 of the 12 rows. Plain `serve` must resume it — leasing
+/// only the 7 missing rows into its own journal — and render the one-shot
+/// bytes, and the offline audit must pass the result.
+#[test]
+fn serve_resumes_a_per_shard_journal_directory_and_verify_passes_it() {
+    let spool = temp_dir("legacy-spool");
+    let out = temp_dir("legacy-out");
+    let oneshot = temp_dir("legacy-oneshot");
+    std::fs::write(spool.join("mini.toml"), MINI_SPEC).unwrap();
+
+    let spec = CampaignSpec::from_toml_str(MINI_SPEC).unwrap();
+    let jobs = expand(&spec);
+    let hash = spec_hash(&spec, spec.run, false);
+    let reference = run_campaign(&spec, &EngineOptions::default()).unwrap();
+    let dir = out.join("mini");
+    // Shard i of 2 owned the jobs with index ≡ i (mod 2).
+    for (shard, rows) in [(0usize, 3usize), (1, 2)] {
+        let journal =
+            Journal::create(&dir, &spec.name, &hash, jobs.len(), Some((shard, 2))).unwrap();
+        for row in reference
+            .rows
+            .iter()
+            .filter(|r| r.job.index % 2 == shard)
+            .take(rows)
+        {
+            journal.record(&row.job, &row.stats).unwrap();
+        }
+    }
+
+    let output = Command::new(BIN)
+        .args(["serve", "--once", "--workers", "2", "--quiet", "--spool"])
+        .arg(&spool)
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("resuming service-mini: 5 of 12 rows"),
+        "serve must resume the per-shard journals: {stderr}"
+    );
+    let fresh = std::fs::read_to_string(dir.join("service-mini.journal.jsonl")).unwrap();
+    assert_eq!(fresh.lines().count(), 1 + 7, "header + the 7 missing rows");
+
+    let spec_file = oneshot.join("mini.toml");
+    std::fs::write(&spec_file, MINI_SPEC).unwrap();
+    let status = Command::new(BIN)
+        .args(["run", spec_file.to_str().unwrap(), "--quiet", "--out"])
+        .arg(&oneshot)
+        .status()
+        .unwrap();
+    assert!(status.success());
+    for name in ["service-mini.json", "service-mini.csv"] {
+        assert_eq!(
+            std::fs::read(dir.join(name)).unwrap(),
+            std::fs::read(oneshot.join(name)).unwrap(),
+            "{name}: the resumed per-shard directory must render the one-shot bytes"
+        );
+    }
+
+    let audit = Command::new(BIN)
+        .args(["verify", dir.to_str().unwrap(), "--spec"])
+        .arg(&spec_file)
+        .output()
+        .unwrap();
+    let table = String::from_utf8_lossy(&audit.stdout);
+    assert!(audit.status.success(), "{table}");
+    assert!(table.contains("verify: PASS"), "{table}");
 
     for dir in [spool, out, oneshot] {
         std::fs::remove_dir_all(dir).unwrap();
