@@ -11,8 +11,9 @@
 //!
 //! * **`deterministic`** — a pure function of the preset: an FNV-1a digest
 //!   of the campaign's JSON report plus total simulated cycles and
-//!   instructions. CI re-runs the smoke entries and fails if these drift
-//!   from the committed baseline, which pins stats parity forever.
+//!   instructions. CI re-runs every committed entry, full and smoke length,
+//!   and fails if these drift from the committed baseline, which pins stats
+//!   parity forever.
 //! * **`timing`** — wall-clock measurements, machine-dependent by nature and
 //!   never compared byte-for-byte. Since `bench_format` 2 the phases are
 //!   timed separately: `generation_ms` covers one *cold* workload-generation
@@ -51,7 +52,7 @@ pub struct BenchOptions {
     pub presets: Vec<String>,
     /// Worker threads; 0 means all cores.
     pub jobs: usize,
-    /// Benchmark only smoke-length entries (CI mode).
+    /// Benchmark only smoke-length entries.
     pub smoke_only: bool,
     /// Benchmark only full-length entries.
     pub full_only: bool,

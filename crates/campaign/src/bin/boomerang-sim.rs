@@ -169,7 +169,7 @@ EXIT CODES:
 BENCH OPTIONS (see README \"Performance\"):
     --preset <name>   Benchmark this preset (repeatable; default: figure9)
     --jobs <N>        Worker threads (default: all cores)
-    --smoke           Benchmark only smoke-length entries (the CI mode)
+    --smoke           Benchmark only smoke-length entries
     --full            Benchmark only full-length entries
     --iterations <K>  Timed iterations per engine (default: 3)
     --no-reference    Skip timing the per-cycle reference engine

@@ -394,20 +394,6 @@ fn flip_last_digit(line: &mut [u8]) {
     }
 }
 
-/// A cheap, monotonic progress probe for hang detection: the total byte size
-/// of every journal file for `campaign` in `dir`. Journals are append-only
-/// while a worker runs, so a growing number means rows are landing and a
-/// static one means the fleet is stalled. Unreadable files count as zero —
-/// the supervisor polls this between `try_wait`s and must never error out.
-pub fn journal_progress(dir: &Path, campaign: &str) -> u64 {
-    journal_files(dir, campaign)
-        .unwrap_or_default()
-        .iter()
-        .filter_map(|path| std::fs::metadata(path).ok())
-        .map(|meta| meta.len())
-        .sum()
-}
-
 /// All journal files for `campaign` in `dir`, sorted by name for
 /// deterministic replay order. Missing directory → empty list.
 pub(crate) fn journal_files(dir: &Path, campaign: &str) -> io::Result<Vec<PathBuf>> {
@@ -1130,52 +1116,6 @@ mod tests {
         let replay = JournalReplay::load(&dir, &spec.name, &hash, &jobs).unwrap();
         assert_eq!(replay.completed(), 2);
         assert_eq!(replay.rows[&1], stats(1));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn progress_probe_grows_with_rows_and_tolerates_absence() {
-        let dir = temp_dir("progress");
-        let spec = spec();
-        assert_eq!(journal_progress(&dir, &spec.name), 0);
-        let jobs = crate::expand::expand(&spec);
-        let hash = spec_hash(&spec, RunLength::smoke_test(), true);
-        let journal = Journal::create(&dir, &spec.name, &hash, jobs.len(), None).unwrap();
-        let after_header = journal_progress(&dir, &spec.name);
-        assert!(after_header > 0);
-        journal.record(&jobs[0], &stats(0)).unwrap();
-        assert!(journal_progress(&dir, &spec.name) > after_header);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn progress_probe_shrinks_when_resume_drops_a_torn_tail() {
-        // A worker killed mid-write leaves a torn prefix; the restarted
-        // worker's `Journal::append` truncates it away, so the probe value
-        // goes *down* between two supervisor polls. The supervisor must not
-        // read that shrink as progress (see `supervise`), and the probe
-        // itself must faithfully report the smaller size.
-        let dir = temp_dir("shrink");
-        let spec = spec();
-        let jobs = crate::expand::expand(&spec);
-        let hash = spec_hash(&spec, RunLength::smoke_test(), true);
-        let journal = Journal::create(&dir, &spec.name, &hash, jobs.len(), None).unwrap();
-        journal.record(&jobs[0], &stats(0)).unwrap();
-        let path = journal.path().to_path_buf();
-        drop(journal);
-        let clean = journal_progress(&dir, &spec.name);
-
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("{\"job\":1,\"mechanism\":\"fd");
-        std::fs::write(&path, &text).unwrap();
-        let torn = journal_progress(&dir, &spec.name);
-        assert!(torn > clean);
-
-        let journal = Journal::append(&dir, &spec.name).unwrap();
-        let truncated = journal_progress(&dir, &spec.name);
-        assert_eq!(truncated, clean, "append must drop exactly the torn tail");
-        assert!(truncated < torn, "the probe must report the shrink");
-        drop(journal);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

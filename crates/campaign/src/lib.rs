@@ -65,9 +65,7 @@ pub use bench::{
     bench_to_json, bench_to_table, check_against, fnv1a64, run_bench, BenchEntry, BenchOptions,
     BenchReport,
 };
-pub use checkpoint::{
-    journal_progress, spec_hash, CheckpointError, Journal, JournalReplay, JOURNAL_FORMAT,
-};
+pub use checkpoint::{spec_hash, CheckpointError, Journal, JournalReplay, JOURNAL_FORMAT};
 pub use engine::{
     assemble_partial_report, assemble_report, derive_seed, generate_workloads, run_campaign,
     run_generated, run_generated_partial, CampaignReport, EngineOptions, GeneratedWorkloads,

@@ -135,16 +135,6 @@ impl SupervisedRun {
             })
             .collect()
     }
-
-    /// The shard indices that did not complete (their rows may be missing
-    /// from the journals — the graceful-degradation path marks them).
-    pub fn incomplete_shards(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .filter(|s| s.outcome != ShardOutcome::Completed)
-            .map(|s| s.shard)
-            .collect()
-    }
 }
 
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
@@ -535,7 +525,6 @@ mod tests {
         };
         assert_eq!(*attempts, 3);
         assert!(last_failure.contains("exited"), "{last_failure}");
-        assert_eq!(run.incomplete_shards(), [0]);
     }
 
     #[test]
