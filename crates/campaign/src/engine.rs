@@ -206,7 +206,13 @@ pub fn generate_workloads(
         })?),
         None => None,
     };
-    let results = pool::run_indexed(workers, &keys, |_, &(workload, seed)| {
+    // Deal the largest footprints first so the costliest points start
+    // together on different workers instead of queueing behind each other;
+    // results go back into key order below.
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(spec.workloads[keys[i].0].profile.footprint_bytes));
+    let dealt = pool::run_indexed(workers, &order, |_, &i| {
+        let (workload, seed) = keys[i];
         let profile = &spec.workloads[workload].profile;
         let effective = derive_seed(profile.seed, seed);
         let profile = profile.clone().with_seed(effective);
@@ -232,9 +238,11 @@ pub fn generate_workloads(
         }
         (data, false, warnings)
     });
+    let mut results: Vec<_> = order.into_iter().zip(dealt).collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
     let mut data = Vec::with_capacity(results.len());
     let mut summary = GenerationSummary::default();
-    for (d, hit, warnings) in results {
+    for (_, (d, hit, warnings)) in results {
         if hit {
             summary.cache_hits += 1;
         } else {

@@ -198,15 +198,22 @@ impl<'a, M: ControlFlowMechanism + ?Sized> Simulator<'a, M> {
         self.run_with_warmup(0)
     }
 
-    /// Generous safety bound: no workload needs more than ~200 cycles per
-    /// instruction even with a cold, prefetch-free front end.
-    fn cycle_bound(&self) -> u64 {
-        500 + 200
-            * self
-                .trace
-                .iter()
-                .map(DynamicBlock::instructions)
-                .sum::<u64>()
+    /// Generous safety bound on a run over `instructions` instructions: no
+    /// workload needs more than ~200 cycles per instruction even with a
+    /// cold, prefetch-free front end.
+    fn bound_for(instructions: u64) -> u64 {
+        500 + 200 * instructions
+    }
+
+    /// The cycle bound in force at `cycle`. `bound` starts at
+    /// `bound_for(blocks)`, a floor since every block holds at least one
+    /// instruction; the trace's instructions are summed only once `cycle`
+    /// reaches it, so a run never walks the whole trace up front.
+    fn cycle_bound(&self, bound: &mut u64, cycle: u64) -> u64 {
+        if cycle >= *bound {
+            *bound = Self::bound_for(self.trace.iter().map(DynamicBlock::instructions).sum());
+        }
+        *bound
     }
 
     /// Runs the whole trace, resetting statistics after the first
@@ -228,12 +235,12 @@ impl<'a, M: ControlFlowMechanism + ?Sized> Simulator<'a, M> {
     pub fn run_with_warmup(&mut self, warmup_blocks: usize) -> SimStats {
         let total = self.trace.len();
         let mut warmup_done = warmup_blocks == 0;
-        let max_cycles = self.cycle_bound();
-        while self.committed_blocks < total && self.now < max_cycles {
+        let mut bound = Self::bound_for(total as u64);
+        while self.committed_blocks < total && self.now < self.cycle_bound(&mut bound, self.now) {
             if let Some(horizon) = self.idle_horizon() {
                 // Dead cycles never commit a block, so a bulk advance can
                 // never cross the warmup boundary.
-                self.advance_idle(horizon.min(max_cycles));
+                self.advance_idle(horizon.min(self.cycle_bound(&mut bound, horizon)));
             } else {
                 self.step();
                 if !warmup_done && self.committed_blocks >= warmup_blocks {
@@ -261,8 +268,8 @@ impl<'a, M: ControlFlowMechanism + ?Sized> Simulator<'a, M> {
     pub fn run_with_warmup_reference(&mut self, warmup_blocks: usize) -> SimStats {
         let total = self.trace.len();
         let mut warmup_done = warmup_blocks == 0;
-        let max_cycles = self.cycle_bound();
-        while self.committed_blocks < total && self.now < max_cycles {
+        let mut bound = Self::bound_for(total as u64);
+        while self.committed_blocks < total && self.now < self.cycle_bound(&mut bound, self.now) {
             self.step();
             if !warmup_done && self.committed_blocks >= warmup_blocks {
                 self.reset_stats();
@@ -818,6 +825,24 @@ mod tests {
     fn run(config: MicroarchConfig, layout: &CodeLayout, trace: &Trace) -> SimStats {
         let mut sim = Simulator::new(config, layout, trace.blocks(), Box::new(NoPrefetch::new()));
         sim.run_with_warmup(2_000)
+    }
+
+    #[test]
+    fn cycle_bound_sums_the_trace_only_past_its_floor() {
+        let (layout, trace) = setup();
+        let sim = Simulator::new(
+            MicroarchConfig::hpca17(),
+            &layout,
+            trace.blocks(),
+            Box::new(NoPrefetch::new()),
+        );
+        let floor = 500 + 200 * trace.len() as u64;
+        let exact = 500 + 200 * trace.instructions();
+        assert!(exact > floor);
+        let mut bound = floor;
+        assert_eq!(sim.cycle_bound(&mut bound, floor - 1), floor);
+        assert_eq!(sim.cycle_bound(&mut bound, floor), exact);
+        assert_eq!(sim.cycle_bound(&mut bound, floor + 1), exact);
     }
 
     #[test]

@@ -9,12 +9,13 @@
 
 use frontend::{ControlFlowMechanism, MechContext};
 use sim_core::{CacheLine, FxHashMap};
+use std::collections::VecDeque;
 
 /// Discontinuity prefetcher + next-N-line.
 #[derive(Clone, Debug)]
 pub struct Dip {
     table: FxHashMap<CacheLine, CacheLine>,
-    insertion_order: Vec<CacheLine>,
+    insertion_order: VecDeque<CacheLine>,
     capacity: usize,
     next_line_degree: u64,
     last_line: Option<CacheLine>,
@@ -30,7 +31,7 @@ impl Dip {
         );
         Dip {
             table: FxHashMap::default(),
-            insertion_order: Vec::with_capacity(capacity),
+            insertion_order: VecDeque::with_capacity(capacity),
             capacity,
             next_line_degree,
             last_line: None,
@@ -49,11 +50,12 @@ impl Dip {
         }
         if self.table.len() >= self.capacity {
             // FIFO eviction of the oldest recorded discontinuity.
-            let victim = self.insertion_order.remove(0);
-            self.table.remove(&victim);
+            if let Some(victim) = self.insertion_order.pop_front() {
+                self.table.remove(&victim);
+            }
         }
         self.table.insert(from, to);
-        self.insertion_order.push(from);
+        self.insertion_order.push_back(from);
     }
 }
 

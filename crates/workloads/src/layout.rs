@@ -114,6 +114,18 @@ impl ControlFlow {
             ControlFlow::Return => BranchKind::Return,
         }
     }
+
+    /// The block a direct terminator transfers to (a conditional's taken
+    /// block, a jump's target, a callee's entry); `None` for indirect
+    /// branches and returns.
+    fn direct_target(&self, functions: &[Function]) -> Option<BlockId> {
+        match self {
+            ControlFlow::Conditional { taken, .. } => Some(*taken),
+            ControlFlow::Jump { target } => Some(*target),
+            ControlFlow::Call { callee } => Some(functions[callee.0 as usize].entry),
+            _ => None,
+        }
+    }
 }
 
 /// One static basic block together with its control-flow successor
@@ -131,6 +143,29 @@ pub struct StaticBlock {
 }
 
 impl StaticBlock {
+    /// Assembles a block from its placement and control flow; `target` is
+    /// the start address of the flow's [direct target](ControlFlow::direct_target).
+    fn assemble(
+        id: BlockId,
+        function: FunctionId,
+        start: Addr,
+        instructions: u64,
+        flow: ControlFlow,
+        target: Option<Addr>,
+    ) -> Self {
+        let branch_pc = start.add_instructions(instructions - 1);
+        let terminator = match target {
+            Some(t) => BranchInfo::direct(branch_pc, flow.kind(), t),
+            None => BranchInfo::indirect(branch_pc, flow.kind()),
+        };
+        StaticBlock {
+            id,
+            function,
+            block: BasicBlock::new(start, instructions, terminator),
+            flow,
+        }
+    }
+
     /// Start address of the block.
     pub fn start(&self) -> Addr {
         self.block.start
@@ -519,27 +554,9 @@ impl CodeLayout {
             .into_iter()
             .enumerate()
             .map(|(idx, (instructions, flow))| {
-                let start = starts[idx];
-                let branch_pc = start.add_instructions(instructions - 1);
-                let kind = flow.kind();
-                let target_addr = match &flow {
-                    ControlFlow::Conditional { taken, .. } => Some(starts[taken.0 as usize]),
-                    ControlFlow::Jump { target } => Some(starts[target.0 as usize]),
-                    ControlFlow::Call { callee } => {
-                        Some(starts[functions[callee.0 as usize].entry.0 as usize])
-                    }
-                    _ => None,
-                };
-                let terminator = match target_addr {
-                    Some(t) => BranchInfo::direct(branch_pc, kind, t),
-                    None => BranchInfo::indirect(branch_pc, kind),
-                };
-                StaticBlock {
-                    id: BlockId(idx as u32),
-                    function: owners[idx],
-                    block: BasicBlock::new(start, instructions, terminator),
-                    flow,
-                }
+                let target = flow.direct_target(&functions).map(|b| starts[b.0 as usize]);
+                let (id, start) = (BlockId(idx as u32), starts[idx]);
+                StaticBlock::assemble(id, owners[idx], start, instructions, flow, target)
             })
             .collect();
 
@@ -618,16 +635,9 @@ impl Builder {
             .map(|f| f.id)
             .collect();
 
-        // Pass 2a (sequential): every RNG draw, in the exact order the
-        // previous single-pass implementation made them, deciding each
-        // block's control flow. Keeping the draw order byte-for-byte is what
-        // keeps generated layouts identical for a fixed seed.
-        let flows = self.draw_flows(&planned, &functions, &roles, &service_roots, &utilities);
-
-        // Pass 2b (sharded): assembling the `StaticBlock`s from (plan, flow)
-        // is a pure per-block function, so independent runs of whole
-        // functions build in parallel on the work-stealing pool.
-        let blocks = Self::assemble_blocks(&planned, &functions, flows);
+        // Second pass: draw each block's control flow in layout order and
+        // assemble its `StaticBlock` on the spot.
+        let blocks = self.draw_blocks(&planned, &functions, &roles, &service_roots, &utilities);
 
         let code_end = blocks
             .last()
@@ -850,21 +860,20 @@ impl Builder {
         }
     }
 
-    /// Second pass, draw stage: assign targets and behaviours now that every
-    /// block and function exists. This stage makes every RNG draw of the
-    /// second pass, in layout order, and nothing else — the draw sequence is
-    /// the contract that keeps generation byte-identical for a fixed seed,
-    /// while the draw-free assembly of the `StaticBlock`s shards across the
-    /// pool in [`assemble_blocks`](Self::assemble_blocks).
-    fn draw_flows(
+    /// Second pass: assign targets and behaviours now that every block and
+    /// function exists, and assemble each [`StaticBlock`] as soon as its
+    /// flow is drawn. The draws happen block by block in layout order; that
+    /// sequence is the contract that keeps generation byte-identical for a
+    /// fixed seed.
+    fn draw_blocks(
         &mut self,
         planned: &[PlannedBlock],
         functions: &[Function],
         roles: &[Role],
         service_roots: &[FunctionId],
         utilities: &[FunctionId],
-    ) -> Vec<ControlFlow> {
-        let mut flows = Vec::with_capacity(planned.len());
+    ) -> Vec<StaticBlock> {
+        let mut blocks = Vec::with_capacity(planned.len());
         let mut dispatcher_call_index = 0usize;
         for (idx, plan) in planned.iter().enumerate() {
             let func = &functions[plan.function.0 as usize];
@@ -936,111 +945,20 @@ impl Builder {
                     ControlFlow::Conditional { taken, behavior }
                 }
             };
-            flows.push(flow);
-        }
-        flows
-    }
-
-    /// Second pass, assembly stage: build each [`StaticBlock`] from its plan
-    /// and drawn control flow. Pure per-block work — no RNG — so whole
-    /// functions assemble independently, sharded through [`sim_core::pool`]
-    /// on function-aligned chunks (inline on a single worker).
-    fn assemble_blocks(
-        planned: &[PlannedBlock],
-        functions: &[Function],
-        flows: Vec<ControlFlow>,
-    ) -> Vec<StaticBlock> {
-        /// Shard granularity in blocks: large enough to amortise pool
-        /// dispatch, small enough to spread a multi-megabyte layout over
-        /// every core.
-        const CHUNK_BLOCKS: usize = 8192;
-        let workers = sim_core::pool::default_workers();
-        if workers <= 1 || planned.len() <= CHUNK_BLOCKS {
-            return planned
-                .iter()
-                .enumerate()
-                .zip(flows)
-                .map(|((idx, plan), flow)| Self::assemble_one(planned, functions, idx, plan, flow))
-                .collect();
-        }
-
-        // Chunk boundaries aligned to function starts, so each task
-        // assembles a run of whole functions.
-        let mut bounds = vec![0usize];
-        for f in functions {
-            let end = (f.first_block + f.num_blocks) as usize;
-            if end - bounds.last().expect("bounds is never empty") >= CHUNK_BLOCKS {
-                bounds.push(end);
-            }
-        }
-        if *bounds.last().expect("bounds is never empty") != planned.len() {
-            bounds.push(planned.len());
-        }
-
-        // Hand each task ownership of its chunk's flows (no clones): split
-        // the flow vector at the chunk bounds, back to front, and let each
-        // pool task take its chunk out of a cell.
-        type FlowChunk = std::sync::Mutex<Option<(usize, Vec<ControlFlow>)>>;
-        let mut rest = flows;
-        let mut chunks: Vec<FlowChunk> = Vec::with_capacity(bounds.len() - 1);
-        for w in bounds.windows(2).rev() {
-            let tail = rest.split_off(w[0]);
-            chunks.push(std::sync::Mutex::new(Some((w[0], tail))));
-        }
-        chunks.reverse();
-
-        let shards = sim_core::pool::run_indexed(workers, &chunks, |_, cell| {
-            let (base, chunk_flows) = cell
-                .lock()
-                .expect("a sibling assembly task panicked")
-                .take()
-                .expect("each chunk is assembled exactly once");
-            chunk_flows
-                .into_iter()
-                .enumerate()
-                .map(|(i, flow)| {
-                    let idx = base + i;
-                    Self::assemble_one(planned, functions, idx, &planned[idx], flow)
-                })
-                .collect::<Vec<StaticBlock>>()
-        });
-        let mut blocks = Vec::with_capacity(planned.len());
-        for shard in shards {
-            blocks.extend(shard);
+            let target = flow
+                .direct_target(functions)
+                .map(|b| planned[b.0 as usize].start);
+            let (id, start, len) = (BlockId(idx as u32), plan.start, plan.instructions);
+            blocks.push(StaticBlock::assemble(
+                id,
+                plan.function,
+                start,
+                len,
+                flow,
+                target,
+            ));
         }
         blocks
-    }
-
-    /// Assembles one block: resolve the terminator's target address and wrap
-    /// plan + flow into the final [`StaticBlock`].
-    fn assemble_one(
-        planned: &[PlannedBlock],
-        functions: &[Function],
-        idx: usize,
-        plan: &PlannedBlock,
-        flow: ControlFlow,
-    ) -> StaticBlock {
-        let branch_pc = plan.start.add_instructions(plan.instructions - 1);
-        let kind = flow.kind();
-        let target_addr = match &flow {
-            ControlFlow::Conditional { taken, .. } => Some(planned[taken.0 as usize].start),
-            ControlFlow::Jump { target } => Some(planned[target.0 as usize].start),
-            ControlFlow::Call { callee } => {
-                let entry = functions[callee.0 as usize].entry;
-                Some(planned[entry.0 as usize].start)
-            }
-            _ => None,
-        };
-        let terminator = match target_addr {
-            Some(t) => BranchInfo::direct(branch_pc, kind, t),
-            None => BranchInfo::indirect(branch_pc, kind),
-        };
-        StaticBlock {
-            id: BlockId(idx as u32),
-            function: plan.function,
-            block: BasicBlock::new(plan.start, plan.instructions, terminator),
-            flow,
-        }
     }
 
     /// Picks a callee for a call site in `caller`.

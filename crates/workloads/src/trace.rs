@@ -164,12 +164,11 @@ impl<'a> TraceGenerator<'a> {
     fn step(&mut self) -> DynamicBlock {
         let static_block = self.layout.block(self.current);
         let id = static_block.id;
-        let flow = static_block.flow.clone();
         let max_depth = self.layout.profile().max_call_depth;
 
         self.blocks_in_request = self.blocks_in_request.saturating_add(1);
         self.blocks_in_activation = self.blocks_in_activation.saturating_add(1);
-        let (taken, next) = match flow {
+        let (taken, next) = match static_block.flow {
             ControlFlow::Conditional { taken, behavior } => {
                 let mut is_taken = self.conditional_outcome(id, behavior);
                 // Dwell valves: once a request or a single function
@@ -217,7 +216,7 @@ impl<'a> TraceGenerator<'a> {
             }
         };
         if !matches!(
-            self.layout.block(id).flow,
+            static_block.flow,
             ControlFlow::Jump { .. } | ControlFlow::IndirectJump { .. }
         ) {
             self.consecutive_jumps = 0;
@@ -322,8 +321,8 @@ impl Trace {
     /// Generates a trace of exactly `num_blocks` basic blocks.
     pub fn generate_blocks(layout: &CodeLayout, num_blocks: usize) -> Self {
         let mut gen = TraceGenerator::new(layout);
-        let blocks: Vec<_> = gen.by_ref().take(num_blocks).collect();
-        let instructions = blocks.iter().map(|b| b.instructions()).sum();
+        let blocks: Vec<_> = (0..num_blocks).map(|_| gen.step()).collect();
+        let instructions = gen.instructions();
         Trace {
             blocks,
             instructions,
